@@ -170,12 +170,13 @@ class Cascade:
         eps = self.cumulative_losses()
         return c * (1.0 - eps) ** 2
 
-    def overlap_mass_value(self, r: int) -> float:
-        """Estimated pair mass at wedge depth r for the full cascade."""
+    def overlap_mass_values(self) -> np.ndarray:
+        """Estimated pair masses at wedge depths r = 1..k+1 (entry r-1).
+
+        Depth r < k+1 takes C_{r-1} - C_r; the diagonal r = k+1 takes C_k.
+        """
         c = self.corrected_concentrations()
-        if r == self.k + 1:
-            return float(c[self.k])
-        return float(c[r - 1] - c[r])
+        return np.append(c[:-1] - c[1:], c[-1])
 
     def _concentration_allowances(self) -> np.ndarray:
         """Systematic-error budget for each corrected concentration.
@@ -198,12 +199,10 @@ class Cascade:
         out[0] = 0.0  # C_0 is identically 1 for any truncation
         return out
 
-    def overlap_mass_allowance(self, r: int) -> float:
-        """Bound on the systematic error of ``overlap_mass_value``."""
+    def overlap_mass_allowances(self) -> np.ndarray:
+        """Bounds on the systematic errors of ``overlap_mass_values``."""
         a = self._concentration_allowances()
-        if r == self.k + 1:
-            return float(a[self.k])
-        return float(a[r - 1] + a[r])
+        return np.append(a[:-1] + a[1:], a[-1])
 
     def validate(self) -> None:
         for level in range(1, self.k + 1):
@@ -251,8 +250,7 @@ def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
         parents = b ** (level - 1)
         block = np.empty((parents, b))
         for j in range(parents):
-            rng = _stream(base, MODULE_CASCADE, level, j)
-            block[j] = _sample_points(rng, m, b)
+            _sample_points(_stream(base, MODULE_CASCADE, level, j), m, b, out=block[j])
         shape = (b,) * level
         levels.append(block.reshape(shape))
         sums.append(block.sum(axis=1).reshape(shape[:-1]))
@@ -277,28 +275,28 @@ def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
 
 
 def _overlap_chunk(args, master, start, stop):
-    rsb, b, r = args
-    out = np.empty((stop - start, 2))
+    rsb, b = args
+    out = np.empty((stop - start, rsb.k + 1, 2))
     for rep in range(start, stop):
         casc = build_cascade(rsb, b, (master, _OP_OVERLAP, rep))
-        out[rep - start, 0] = casc.overlap_mass_value(r)
-        out[rep - start, 1] = casc.overlap_mass_allowance(r)
+        out[rep - start, :, 0] = casc.overlap_mass_values()
+        out[rep - start, :, 1] = casc.overlap_mass_allowances()
     return out
 
 
-def overlap_mass(
-    rsb: RSBParams, b: int, r: int, replicas: int, seed: int
-) -> Estimate:
-    """E of the pair mass at wedge level r (r = k+1 is the diagonal).
+def overlap_mass(rsb: RSBParams, b: int, replicas: int, seed: int) -> list:
+    """E of the pair masses at wedge levels r = 1..k+1, entry r-1.
 
-    The value is the truncated-cascade statistic, so the r = 1..k+1
-    estimates sum to one exactly per realization; the attached allowance
+    r = k+1 is the diagonal.  Each replica's cascade is built once and
+    serves every r, so the values are the truncated-cascade statistics
+    that sum to one exactly per realization; each attached allowance
     bounds the distance to the untruncated target m_r - m_{r-1}.
     """
-    if not 1 <= r <= rsb.k + 1:
-        raise ValueError(f"r = {r} outside 1..{rsb.k + 1}")
-    vals = run_replicas(_overlap_chunk, (rsb, b, r), seed, replicas)
-    return Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
+    vals = run_replicas(_overlap_chunk, (rsb, b), seed, replicas)
+    return [
+        Estimate.from_values(vals[:, j, 0], allowance=float(vals[:, j, 1].mean()))
+        for j in range(rsb.k + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -433,10 +433,11 @@ def cmd_cascade(cfg: RunConfig):
     masses = expected_masses(rsb)
     seed_c = child_seed(cfg.seed, 20)
     records, rows = [], []
-    # One seed for all r: the estimates then share cascade draws and the
+    # One pass for all r: the estimates share cascade draws and the
     # estimated masses sum to one realization by realization.
+    estimates = overlap_mass(rsb, cfg.b, cfg.replicas, seed_c)
     for r in range(1, rsb.k + 2):
-        est = overlap_mass(rsb, cfg.b, r, cfg.replicas, seed_c)
+        est = estimates[r - 1]
         records.append(
             identity_check(f"overlap_mass_r{r}", est, Exact(masses[r - 1]), cfg.tolerance)
         )
@@ -460,6 +461,11 @@ def cmd_bound(cfg: RunConfig):
         result = {"scan": "q1", "minimum_q1": best[0], "minimum_bound": best[1]}
         return [], result, (("q1", "bound"), rows)
     rsb = cfg.rsb_params()
+    if rsb.m[-1] != 1.0:
+        raise ConfigError(
+            f"the bound is defined at the m_k = 1 endpoint, but m ends at {rsb.m[-1]}; "
+            'pass --m with last entry 1.0, e.g. --m "[1.0]" --q "[0.5]"'
+        )
     res = phi0(rsb, mix, cfg.h, quad)
     value = guerra_bound(rsb, mix, cfg.h, quad)
     result = {
@@ -560,13 +566,14 @@ def cmd_interpolate(cfg: RunConfig):
     elif cfg.check == "overlap":
         masses = expected_masses(rsb)
         seed_m = child_seed(cfg.seed, 65)
-        for r in cfg.r_values(rsb.k + 1):
-            est = gibbs_overlap_mass(
-                cfg.N, cfg.t, r, mix, rsb, cfg.b, cfg.h, cfg.replicas, seed_m
-            )
+        r_values = cfg.r_values(rsb.k + 1)
+        estimates = gibbs_overlap_mass(
+            cfg.N, cfg.t, mix, rsb, cfg.b, cfg.h, cfg.replicas, seed_m
+        )
+        for r in r_values:
             records.append(
                 identity_check(
-                    f"gibbs_overlap_r{r}", est, Exact(masses[r - 1]), cfg.tolerance,
+                    f"gibbs_overlap_r{r}", estimates[r - 1], Exact(masses[r - 1]), cfg.tolerance,
                     extras={"t": cfg.t},
                 )
             )
@@ -622,10 +629,10 @@ def cmd_verify_all(cfg: RunConfig):
     # Cascade weights carry the overlap distribution.
     rsb2 = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
     masses = expected_masses(rsb2)
+    estimates = overlap_mass(rsb2, n(200, 50), n(1000, 200), seed(3))
     for r in (1, 2, 3):
-        est = overlap_mass(rsb2, n(200, 50), r, n(1000, 200), seed(3))
         records.append(
-            identity_check(f"overlap_mass_r{r}", est, Exact(masses[r - 1]), tol)
+            identity_check(f"overlap_mass_r{r}", estimates[r - 1], Exact(masses[r - 1]), tol)
         )
 
     # Recursion chain vs direct cascade simulation.
@@ -688,10 +695,10 @@ def cmd_verify_all(cfg: RunConfig):
     )
     seed_m = seed(13)
     masses = expected_masses(rsb_i)
+    estimates = gibbs_overlap_mass(4, 0.9, mix_i, rsb_i, n(50, 30), 0.3, n(300, 100), seed_m)
     for r in (1, 2, 3):
-        est = gibbs_overlap_mass(4, 0.9, r, mix_i, rsb_i, n(50, 30), 0.3, n(300, 100), seed_m)
         records.append(
-            identity_check(f"gibbs_overlap_r{r}", est, Exact(masses[r - 1]), tol,
+            identity_check(f"gibbs_overlap_r{r}", estimates[r - 1], Exact(masses[r - 1]), tol,
                            extras={"t": 0.9})
         )
     rsb_e = RSBParams.from_interior((0.3, 0.6), (0.3, 0.6))
@@ -744,8 +751,10 @@ def _literal(text: str):
 
 def _add_common(sub):
     sub.add_argument("--config", help="path to a key = value config file")
-    for key in ("seed", "replicas", "N", "b", "n_max", "nodes"):
+    for key in ("seed", "replicas", "N", "b", "nodes"):
         sub.add_argument(f"--{key}", type=int, default=argparse.SUPPRESS)
+    # --n_max stays as an alias of the dashed spelling.
+    sub.add_argument("--n-max", "--n_max", dest="n_max", type=int, default=argparse.SUPPRESS)
     for key in ("h", "t", "step", "tolerance"):
         sub.add_argument(f"--{key}", type=float, default=argparse.SUPPRESS)
     for key in ("mixture", "m", "q", "t_grid", "r"):

@@ -196,18 +196,20 @@ class GibbsSystem:
         margin[0] = 0.0
         return eps_f, margin
 
-    def wedge_mass(self, r: int):
-        """Corrected Gamma x Gamma wedge-class mass with its budget."""
+    def wedge_masses(self) -> list:
+        """Corrected Gamma x Gamma wedge-class masses with their budgets.
+
+        Entry r-1 is the (value, budget) pair of wedge depth r = 1..k+1.
+        """
         k = self.rsb.k
-        if not 1 <= r <= k + 1:
-            raise ValueError(f"r outside 1..{k + 1}")
         c = prefix_concentrations(self.leaf_masses())
         eps_f, margin = self.loss_profile()
-        if r == k + 1:
-            terms = [(k, 1.0, c[k])]
-        else:
-            terms = [(r - 1, 1.0, c[r - 1]), (r, -1.0, c[r])]
-        return _corrected_combo(terms, eps_f, margin)
+        out = [
+            _corrected_combo([(r - 1, 1.0, c[r - 1]), (r, -1.0, c[r])], eps_f, margin)
+            for r in range(1, k + 1)
+        ]
+        out.append(_corrected_combo([(k, 1.0, c[k])], eps_f, margin))
+        return out
 
 
 def build_system(
@@ -392,36 +394,37 @@ def derivative_check(
 
 
 def _mass_chunk(args, master, start, stop):
-    N, t, r, mixture, rsb, b, h = args
-    out = np.empty((stop - start, 2))
+    N, t, mixture, rsb, b, h = args
+    out = np.empty((stop - start, rsb.k + 1, 2))
     for rep in range(start, stop):
         system = build_system(
             N, t, mixture, rsb, b, h, (master, MODULE_INTERP, _OP_MASS, rep)
         )
-        out[rep - start] = system.wedge_mass(r)
+        out[rep - start] = system.wedge_masses()
     return out
 
 
 def gibbs_overlap_mass(
     N: int,
     t: float,
-    r: int,
     mixture: MixtureFunction,
     rsb: RSBParams,
     b: int,
     h: float,
     replicas: int,
     seed: int,
-) -> Estimate:
-    """Estimates Gamma x Gamma {wedge = r}; target m_r - m_{r-1}."""
+) -> list:
+    """Estimates of Gamma x Gamma {wedge = r}, entry r-1 for r = 1..k+1.
+
+    Target m_r - m_{r-1}; each replica's system is built once for all r.
+    """
     _check_joint_budget(N, rsb, b, t)
     rsb.requires_simulable()
-    if not 1 <= r <= rsb.k + 1:
-        raise ValueError(f"r outside 1..{rsb.k + 1}")
-    vals = run_replicas(
-        _mass_chunk, (N, t, r, mixture, rsb, b, h), seed, replicas
-    )
-    return Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
+    vals = run_replicas(_mass_chunk, (N, t, mixture, rsb, b, h), seed, replicas)
+    return [
+        Estimate.from_values(vals[:, j, 0], allowance=float(vals[:, j, 1].mean()))
+        for j in range(rsb.k + 1)
+    ]
 
 
 def _restricted_delta(system: GibbsSystem, r: int):

@@ -24,6 +24,8 @@ from .stats import Estimate
 
 _STATISTICS = ("pair_sum", "max_weight", "mean_mark")
 _TILT_POOL = 4096
+# Buckets of the tilted-mark search: a power of two, two per pool entry.
+_BUCKETS = 8192
 
 
 @dataclass(frozen=True)
@@ -68,20 +70,30 @@ class MarkSpec:
         if self.family == "two_point" and min(self.xs) <= 0:
             raise ValueError("two_point X values must be positive")
 
-    def sample(self, rng: np.random.Generator, size: int):
+    def sample(self, rng: np.random.Generator, size: int, out=None):
+        """Draw ``size`` pairs (X, Y), into the float arrays ``out`` if given."""
+        x, y = (np.empty(size), np.empty(size)) if out is None else out
         if self.family == "constant":
-            return (np.full(size, self.cx), np.full(size, self.cy))
-        if self.family == "lognormal":
-            g = rng.standard_normal(size)
-            g2 = rng.standard_normal(size)
-            x = self.shift + np.exp(self.sigma_x * g)
-            y = np.exp(
-                self.sigma_y * (self.rho * g + np.sqrt(1 - self.rho**2) * g2)
-            )
-            return x, y
-        pick = rng.random(size) < self.p
-        x = np.where(pick, self.xs[0], self.xs[1])
-        y = np.where(pick, self.ys[0], self.ys[1])
+            x.fill(self.cx)
+            y.fill(self.cy)
+        elif self.family == "lognormal":
+            rng.standard_normal(out=x)
+            rng.standard_normal(out=y)
+            # Y from G and G' before X overwrites G.
+            y *= np.sqrt(1 - self.rho**2)
+            y += self.rho * x
+            y *= self.sigma_y
+            np.exp(y, out=y)
+            x *= self.sigma_x
+            np.exp(x, out=x)
+            x += self.shift
+        else:
+            rng.random(out=x)
+            pick = (x < self.p).view(np.uint8)
+            # The indices are 0 and 1, so "clip" changes no value; it spares
+            # the buffered copy that take makes into ``out`` in "raise" mode.
+            np.take(np.array((self.xs[1], self.xs[0]), dtype=float), pick, out=x, mode="clip")
+            np.take(np.array((self.ys[1], self.ys[0]), dtype=float), pick, out=y, mode="clip")
         return x, y
 
     def min_x(self) -> float:
@@ -114,9 +126,16 @@ def sample_pd(m: float, n_max: int, seed) -> PDRealization:
     return PDRealization(m=m, u=u, w=u / s, tail_bound=t / (s + t))
 
 
-def _sample_points(rng: np.random.Generator, m: float, n_max: int) -> np.ndarray:
-    gamma = np.cumsum(rng.standard_exponential(n_max))
-    return (m * gamma) ** (-1.0 / m)
+def _sample_points(
+    rng: np.random.Generator, m: float, n_max: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """u_n = (m G_n)^(-1/m) from arrival times G_n, in ``out`` if given."""
+    u = np.empty(n_max) if out is None else out
+    rng.standard_exponential(out=u)
+    np.cumsum(u, out=u)
+    u *= m
+    u **= -1.0 / m
+    return u
 
 
 def _tail_mass(u_last: float, m: float) -> float:
@@ -126,9 +145,10 @@ def _tail_mass(u_last: float, m: float) -> float:
 def _pair_sum_chunk(args, master, start, stop):
     m, n_max = args
     out = np.empty((stop - start, 2))
+    u = np.empty(n_max)
     for i, rep in enumerate(range(start, stop)):
         rng = derive_rng(master, MODULE_PD, rep)
-        u = _sample_points(rng, m, n_max)
+        _sample_points(rng, m, n_max, out=u)
         s = u.sum()
         q = float((u * u).sum() / (s * s))
         t = _tail_mass(u[-1], m)
@@ -162,37 +182,64 @@ def _statistic(name: str, u: np.ndarray, y: np.ndarray) -> float:
     raise ValueError(f"statistic {name!r} not in menu {_STATISTICS}")
 
 
+def _bucket_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` through a bucket table.
+
+    ``cdf`` is nondecreasing with ``cdf[-1] == 1`` and every u lies in
+    [0, 1).  The bucket count is a power of two, so the edge j / B and
+    the bucket floor(u B) are exact: u >= j / B and every entry before
+    ``start[j]`` is <= u, so a forward walk from there finds the first
+    entry above u, which ``cdf[-1] = 1`` bounds.
+    """
+    start = cdf.searchsorted(np.arange(_BUCKETS) / _BUCKETS, side="right")
+    idx = start[(u * _BUCKETS).astype(np.intp)]
+    behind = np.flatnonzero(cdf[idx] <= u)
+    while behind.size:
+        idx[behind] += 1
+        behind = behind[cdf[idx[behind]] <= u[behind]]
+    return idx
+
+
 def _tilted_marks(spec: MarkSpec, m: float, rng: np.random.Generator, size: int):
     """Draw marks from the law reweighted by X^m / E X^m, plus the scale.
 
     Direct Monte Carlo: resample a fresh pool of (X, Y) pairs with
     probabilities proportional to X^m.  Families with a closed-form scale
-    use it so degenerate cases reproduce exactly.
+    use it so degenerate cases reproduce exactly.  The draw is the one
+    ``rng.choice(pool, size, p=X^m / sum X^m)`` makes, value for value;
+    with ``size = 0`` no index is drawn and only the scale is of use.
     """
     pool_x, pool_y = spec.sample(rng, _TILT_POOL)
-    wts = pool_x**m
-    wts /= wts.sum()
-    idx = rng.choice(_TILT_POOL, size=size, p=wts)
+    xm = pool_x**m
+    total = xm.sum()
+    if not (np.isfinite(total) and total > 0.0) or (xm < 0).any():
+        raise ValueError("tilt pool weights must be finite, nonnegative, not all zero")
+    cdf = np.cumsum(xm / total)
+    cdf /= cdf[-1]
+    idx = _bucket_search(cdf, rng.random(size))
     c = spec.exact_scale(m)
     if c is None:
-        c = float((pool_x**m).mean() ** (1.0 / m))
+        c = float(xm.mean() ** (1.0 / m))
     return c, pool_x[idx], pool_y[idx]
 
 
 def _invariance_chunk(args, master, start, stop):
     m, n_max, statistic, spec = args
     out = np.empty((stop - start, 2))
+    u, x, y = np.empty(n_max), np.empty(n_max), np.empty(n_max)
+    # Only the mean-mark statistic reads the tilted marks.
+    tilted_size = n_max if statistic == "mean_mark" else 0
     for i, rep in enumerate(range(start, stop)):
         rng_u = derive_rng(master, MODULE_PD, rep, 0)
         rng_m = derive_rng(master, MODULE_PD, rep, 1)
         rng_t = derive_rng(master, MODULE_PD, rep, 2)
-        u = _sample_points(rng_u, m, n_max)
-        x, y = spec.sample(rng_m, n_max)
+        _sample_points(rng_u, m, n_max, out=u)
+        spec.sample(rng_m, n_max, out=(x, y))
         # side (a): the marked-and-multiplied process (u X, Y)
-        out[i, 0] = _statistic(statistic, u * x, y)
+        out[i, 0] = _statistic(statistic, np.multiply(x, u, out=x), y)
         # side (b): the same points scaled by (E X^m)^(1/m), marks tilted
-        c, _, y_t = _tilted_marks(spec, m, rng_t, n_max)
-        out[i, 1] = _statistic(statistic, c * u, y_t)
+        c, _, y_t = _tilted_marks(spec, m, rng_t, tilted_size)
+        out[i, 1] = _statistic(statistic, np.multiply(u, c, out=u), y_t)
     return out
 
 
@@ -220,17 +267,19 @@ def verify_invariance(
 def _corollary_chunk(args, master, start, stop):
     m, n_max, spec = args
     out = np.empty((stop - start, 4))
+    u, x, y = np.empty(n_max), np.empty(n_max), np.empty(n_max)
     for i, rep in enumerate(range(start, stop)):
         rng_u = derive_rng(master, MODULE_PD, rep, 0)
         rng_m = derive_rng(master, MODULE_PD, rep, 1)
-        u = _sample_points(rng_u, m, n_max)
-        x, y = spec.sample(rng_m, n_max)
-        ux = u * x
-        uy = u * y
-        dx = ux.sum()
-        l1 = uy.sum() / dx
-        l2 = (uy * uy).sum() / (dx * dx)
-        l3 = (uy.sum() ** 2 - (uy * uy).sum()) / (dx * dx)
+        _sample_points(rng_u, m, n_max, out=u)
+        spec.sample(rng_m, n_max, out=(x, y))
+        dx = np.multiply(x, u, out=x).sum()
+        uy = np.multiply(y, u, out=y)
+        sy = uy.sum()
+        syy = np.multiply(uy, uy, out=x).sum()
+        l1 = sy / dx
+        l2 = syy / (dx * dx)
+        l3 = (sy**2 - syy) / (dx * dx)
         s = u.sum()
         t = _tail_mass(u[-1], m)
         out[i] = (l1, l2, l3, t / (s + t))
@@ -240,9 +289,10 @@ def _corollary_chunk(args, master, start, stop):
 def _mark_moment_chunk(args, master, start, stop):
     m, spec, batch = args
     out = np.empty((stop - start, 3))
+    buffers = (np.empty(batch), np.empty(batch))
     for i, rep in enumerate(range(start, stop)):
         rng = derive_rng(master, MODULE_PD, 1 << 20, rep)
-        x, y = spec.sample(rng, batch)
+        x, y = spec.sample(rng, batch, out=buffers)
         exm = (x**m).mean()
         r1 = (x ** (m - 1) * y).mean() / exm
         r2 = (1.0 - m) * (x ** (m - 2) * y * y).mean() / exm

@@ -17,6 +17,7 @@ All quadrature is deterministic; Monte Carlo never enters this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,10 +50,17 @@ class QuadratureSpec:
             raise ValueError("nodes_per_level must be >= 8")
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_hermite(n: int):
-    """Nodes and weights for E f(z), z standard normal (weights sum to 1)."""
+    """Nodes and weights for E f(z), z standard normal (weights sum to 1).
+
+    Cached per node count; the arrays are shared, so they are read-only.
+    """
     t, w = np.polynomial.hermite.hermgauss(n)
-    return t * math.sqrt(2.0), w / math.sqrt(math.pi)
+    z, w = t * math.sqrt(2.0), w / math.sqrt(math.pi)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
 
 
 def log2cosh(x):

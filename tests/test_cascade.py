@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascadelab.cascade import (
+    _OP_OVERLAP,
     MODULE_CASCADE,
     _seed_tuple,
     _stream,
@@ -22,10 +23,17 @@ from cascadelab.cascade import (
     weight_tilt_invariance,
 )
 from cascadelab.functionals import PairFunctional, PathFunctional
+from cascadelab.interpolation import (
+    _OP_MASS,
+    MODULE_INTERP,
+    _corrected_combo,
+    build_system,
+    gibbs_overlap_mass,
+)
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.pd_process import sample_pd
 from cascadelab.recursion import QuadratureSpec
-from cascadelab.stats import Exact, identity_check
+from cascadelab.stats import Estimate, Exact, identity_check
 
 RSB2 = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
 QUAD = QuadratureSpec(nodes_per_level=40)
@@ -95,7 +103,7 @@ def test_cascade_rejects_endpoint():
 
 def test_partition_of_unity_per_realization():
     casc = build_cascade(RSB2, 30, 13)
-    total = sum(casc.overlap_mass_value(r) for r in range(1, 4))
+    total = sum(casc.overlap_mass_values()[r - 1] for r in range(1, 4))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -103,7 +111,7 @@ def test_overlap_masses_match_jumps():
     seed = 17
     targets = {1: 0.4, 2: 0.4, 3: 0.2}
     for r, target in targets.items():
-        est = overlap_mass(RSB2, 100, r, 400, seed)
+        est = overlap_mass(RSB2, 100, 400, seed)[r - 1]
         rec = identity_check(f"mass_{r}", est, Exact(target))
         assert rec.passed, (r, est.mean, est.std_error, est.allowance)
 
@@ -112,20 +120,21 @@ def test_overlap_mass_second_config():
     rsb = RSBParams.from_interior((0.25, 0.55, 0.9), (0.2, 0.5, 0.7))
     seed = 19
     for r, target in ((1, 0.25), (4, 0.1)):
-        est = overlap_mass(rsb, 12, r, 400, seed)
+        est = overlap_mass(rsb, 12, 400, seed)[r - 1]
         rec = identity_check(f"mass_{r}", est, Exact(target))
         assert rec.passed, (r, est.mean, est.std_error, est.allowance)
 
 
 def test_overlap_mass_deterministic():
-    a = overlap_mass(RSB2, 40, 1, 150, 23)
-    b = overlap_mass(RSB2, 40, 1, 150, 23)
+    a = overlap_mass(RSB2, 40, 150, 23)[0]
+    b = overlap_mass(RSB2, 40, 150, 23)[0]
     assert a.mean == b.mean and a.allowance == b.allowance
 
 
-def test_overlap_mass_rejects_bad_r():
-    with pytest.raises(ValueError):
-        overlap_mass(RSB2, 20, 4, 150, 0)
+def test_overlap_mass_returns_every_level():
+    masses = overlap_mass(RSB2, 20, 150, 0)
+    assert len(masses) == RSB2.k + 1
+    assert sum(est.mean for est in masses) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_field_covariance_matches_xi_prime():
@@ -235,3 +244,69 @@ def test_leaf_functional_shapes():
     # linear functional is the broadcast sum of scaled level marks
     want = marks[0][:, None] * 0 + marks[0].reshape(4, 1) + 2.0 * marks[1]
     assert vals == pytest.approx(want.reshape(4, 4))
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the one-pass kernels
+#
+# The oracles are the per-r expressions the one-pass masses replaced; the
+# replica counts cross a 256-replica chunk boundary.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_sample_points(rng, m, n_max):
+    gamma = np.cumsum(rng.standard_exponential(n_max))
+    return (m * gamma) ** (-1.0 / m)
+
+
+def _oracle_overlap_mass(rsb, b, r, replicas, seed):
+    vals = np.empty((replicas, 2))
+    for rep in range(replicas):
+        casc = build_cascade(rsb, b, (seed, _OP_OVERLAP, rep))
+        c = casc.corrected_concentrations()
+        a = casc._concentration_allowances()
+        if r == rsb.k + 1:
+            vals[rep] = (float(c[rsb.k]), float(a[rsb.k]))
+        else:
+            vals[rep] = (float(c[r - 1] - c[r]), float(a[r - 1] + a[r]))
+    return Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
+
+
+def _oracle_wedge_mass(system, r):
+    k = system.rsb.k
+    c = prefix_concentrations(system.leaf_masses())
+    eps_f, margin = system.loss_profile()
+    if r == k + 1:
+        terms = [(k, 1.0, c[k])]
+    else:
+        terms = [(r - 1, 1.0, c[r - 1]), (r, -1.0, c[r])]
+    return _corrected_combo(terms, eps_f, margin)
+
+
+def test_build_cascade_blocks_match_formula():
+    casc = build_cascade(RSB2, 30, 5)
+    for level in (1, 2):
+        block = casc.levels[level - 1].reshape(-1, 30)
+        for j, row in enumerate(block):
+            rng = _stream(_seed_tuple(5), MODULE_CASCADE, level, j)
+            assert np.array_equal(row, _oracle_sample_points(rng, RSB2.m[level], 30))
+
+
+def test_overlap_masses_match_per_level_values():
+    for rsb, b in ((RSB2, 12), (RSBParams.from_interior((0.25, 0.55, 0.9), (0.2, 0.5, 0.7)), 5)):
+        masses = overlap_mass(rsb, b, 300, 71)
+        assert masses == [
+            _oracle_overlap_mass(rsb, b, r, 300, 71) for r in range(1, rsb.k + 2)
+        ]
+
+
+def test_gibbs_masses_match_per_level_values():
+    mix = sk_mixture(0.5)
+    masses = gibbs_overlap_mass(2, 0.7, mix, RSB2, 8, 0.3, 260, 73)
+    vals = np.empty((260, 2))
+    for r in range(1, RSB2.k + 2):
+        for rep in range(260):
+            system = build_system(2, 0.7, mix, RSB2, 8, 0.3, (73, MODULE_INTERP, _OP_MASS, rep))
+            vals[rep] = _oracle_wedge_mass(system, r)
+        want = Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
+        assert masses[r - 1] == want

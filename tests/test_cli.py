@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +193,37 @@ def test_optimize_requires_k(capsys):
     rc = run(["optimize", "--mixture", "[[2, 0.4]]"])
     assert rc == 2
     assert "k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--n_max"])
+def test_pd_accepts_both_n_max_spellings(flag, capsys):
+    rc = run(["pd", "--m", "[0.5]", "--replicas", "150", flag, "1000", "--seed", "7"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["n_max"] == 1000
+
+
+def test_readme_bound_lines_run(tmp_path, monkeypatch, capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [
+        line for line in readme.read_text().splitlines() if line.startswith("cascadelab bound ")
+    ]
+    assert lines
+    monkeypatch.chdir(tmp_path)  # the scan writes its CSV here
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == 0, line
+        assert json.loads(capsys.readouterr().out)["command"] == "bound"
+
+
+def test_bound_away_from_endpoint_names_the_flag(capsys):
+    rc = run(["bound", "--mixture", "[[2, 0.42]]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "m_k = 1" in err and "--m" in err
+
+
+def test_interpolate_overlap_rejects_bad_r(capsys):
+    rc = run(["interpolate", "--check", "overlap", "--m", "[0.5]", "--q", "[0.5]",
+              "--r", "[3]", "--N", "2", "--b", "10", "--replicas", "10"])
+    assert rc == 2
+    assert "r = 3 outside 1..2" in capsys.readouterr().err

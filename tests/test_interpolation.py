@@ -104,22 +104,23 @@ def test_overlap_masses_match_exponent_jumps():
     rsb = RSBParams.from_interior((0.4, 0.95), (0.3, 0.6))
     expected = {1: 0.4, 2: 0.55, 3: 0.05}
     for r, target in expected.items():
-        est = gibbs_overlap_mass(3, 0.9, r, mix, rsb, 80, 0.3, 200, seed=50 + r)
+        est = gibbs_overlap_mass(3, 0.9, mix, rsb, 80, 0.3, 200, seed=50 + r)[r - 1]
         rec = identity_check(f"gibbs_mass_r{r}", est, Exact(target))
         assert rec.passed, (r, est.mean, est.std_error, est.allowance, target)
 
 
 def test_overlap_mass_time_invariance():
     mix = sk_mixture(0.5)
-    lo = gibbs_overlap_mass(3, 0.2, 1, mix, RSB1, 80, 0.3, 200, seed=58)
-    hi = gibbs_overlap_mass(3, 0.8, 1, mix, RSB1, 80, 0.3, 200, seed=59)
+    lo = gibbs_overlap_mass(3, 0.2, mix, RSB1, 80, 0.3, 200, seed=58)[0]
+    hi = gibbs_overlap_mass(3, 0.8, mix, RSB1, 80, 0.3, 200, seed=59)[0]
     rec = identity_check("mass_t_invariance", lo, hi)
     assert rec.passed, (lo.mean, hi.mean)
 
 
-def test_overlap_mass_rejects_bad_level():
-    with pytest.raises(ValueError, match="r outside"):
-        gibbs_overlap_mass(2, 0.5, 3, sk_mixture(0.5), RSB1, 50, 0.0, 10, seed=1)
+def test_overlap_mass_returns_every_level():
+    masses = gibbs_overlap_mass(2, 0.5, sk_mixture(0.5), RSB1, 50, 0.0, 10, seed=1)
+    assert len(masses) == RSB1.k + 1
+    assert sum(est.mean for est in masses) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coupled_exponent_sequence():

@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 from cascadelab.pd_process import (
+    _BUCKETS,
+    _TILT_POOL,
     MarkSpec,
+    _bucket_search,
+    _corollary_chunk,
+    _invariance_chunk,
+    _sample_points,
+    _statistic,
+    _tail_mass,
     _tilted_marks,
     corollary_moments,
     estimate_pair_sum,
     sample_pd,
     verify_invariance,
 )
-from cascadelab.seeding import derive_rng
+from cascadelab.seeding import MODULE_PD, derive_rng
 from cascadelab.stats import identity_check
 
 # Frozen oracles, computed independently of the implementation:
@@ -150,3 +158,186 @@ def test_corollary_rejects_small_marks():
 def test_corollary_rejects_few_replicas():
     with pytest.raises(ValueError):
         corollary_moments(0.5, MarkSpec("constant"), 500, 1000, 0)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the in-place kernels
+#
+# The oracles below are the plain expressions the kernels replaced.  Each
+# test feeds both the same stream and asserts equal bits, not closeness.
+# ---------------------------------------------------------------------------
+
+MARK_SPECS = (
+    MarkSpec("constant", cx=1.3, cy=0.7),
+    MarkSpec("lognormal", shift=1.0, sigma_x=0.4, sigma_y=0.35, rho=0.6),
+    MarkSpec("lognormal", sigma_x=0.5, sigma_y=0.5, rho=0.0),
+    MarkSpec("lognormal", sigma_x=0.3, sigma_y=0.8, rho=-0.9, shift=0.5),
+    MarkSpec("two_point", xs=(1.0, 2.0), ys=(0.5, 1.5), p=0.6),
+    MarkSpec("two_point", xs=(3.0, 0.25), ys=(-1.0, 2.0), p=0.1),
+)
+
+
+def _oracle_sample_points(rng, m, n_max):
+    gamma = np.cumsum(rng.standard_exponential(n_max))
+    return (m * gamma) ** (-1.0 / m)
+
+
+def _oracle_marks(spec, rng, size):
+    if spec.family == "constant":
+        return np.full(size, spec.cx), np.full(size, spec.cy)
+    if spec.family == "lognormal":
+        g = rng.standard_normal(size)
+        g2 = rng.standard_normal(size)
+        x = spec.shift + np.exp(spec.sigma_x * g)
+        y = np.exp(spec.sigma_y * (spec.rho * g + np.sqrt(1 - spec.rho**2) * g2))
+        return x, y
+    pick = rng.random(size) < spec.p
+    return np.where(pick, spec.xs[0], spec.xs[1]), np.where(pick, spec.ys[0], spec.ys[1])
+
+
+def _oracle_tilted_marks(spec, m, rng, size):
+    pool_x, pool_y = _oracle_marks(spec, rng, _TILT_POOL)
+    wts = pool_x**m
+    wts /= wts.sum()
+    idx = rng.choice(_TILT_POOL, size=size, p=wts)
+    c = spec.exact_scale(m)
+    if c is None:
+        c = float((pool_x**m).mean() ** (1.0 / m))
+    return c, pool_x[idx], pool_y[idx]
+
+
+def _oracle_invariance_chunk(args, master, start, stop):
+    m, n_max, statistic, spec = args
+    out = np.empty((stop - start, 2))
+    for i, rep in enumerate(range(start, stop)):
+        u = _oracle_sample_points(derive_rng(master, MODULE_PD, rep, 0), m, n_max)
+        x, y = _oracle_marks(spec, derive_rng(master, MODULE_PD, rep, 1), n_max)
+        out[i, 0] = _statistic(statistic, u * x, y)
+        c, _, y_t = _oracle_tilted_marks(spec, m, derive_rng(master, MODULE_PD, rep, 2), n_max)
+        out[i, 1] = _statistic(statistic, c * u, y_t)
+    return out
+
+
+def _oracle_corollary_chunk(args, master, start, stop):
+    m, n_max, spec = args
+    out = np.empty((stop - start, 4))
+    for i, rep in enumerate(range(start, stop)):
+        u = _oracle_sample_points(derive_rng(master, MODULE_PD, rep, 0), m, n_max)
+        x, y = _oracle_marks(spec, derive_rng(master, MODULE_PD, rep, 1), n_max)
+        ux = u * x
+        uy = u * y
+        dx = ux.sum()
+        l1 = uy.sum() / dx
+        l2 = (uy * uy).sum() / (dx * dx)
+        l3 = (uy.sum() ** 2 - (uy * uy).sum()) / (dx * dx)
+        s = u.sum()
+        t = _tail_mass(u[-1], m)
+        out[i] = (l1, l2, l3, t / (s + t))
+    return out
+
+
+def _cdf(weights):
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
+def test_bucket_search_matches_searchsorted():
+    rng = np.random.default_rng(41)
+    sparse = rng.random(_TILT_POOL)
+    sparse[rng.random(_TILT_POOL) < 0.5] = 0.0  # repeated cdf entries
+    heavy = rng.pareto(0.7, _TILT_POOL)  # a few entries hold most mass
+    cdfs = [
+        _cdf(rng.random(_TILT_POOL)),
+        _cdf(np.ones(_TILT_POOL)),  # every entry sits on a bucket edge
+        np.arange(1, _BUCKETS + 1) / _BUCKETS,  # every bucket edge is an entry
+        _cdf(sparse),
+        _cdf(heavy),
+        _cdf(np.array([0.0, 1.0, 0.0, 2.0])),
+    ]
+    edges = np.arange(_BUCKETS) / _BUCKETS
+    near_edges = np.concatenate(
+        [edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)]]
+    )
+    for cdf in cdfs:
+        keys = np.concatenate(
+            [rng.random(50_000), [0.0], cdf[cdf < 1.0], np.nextafter(cdf[cdf < 1.0], 0.0),
+             np.nextafter(cdf[cdf < 1.0], 1.0), near_edges]
+        )
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        assert np.array_equal(_bucket_search(cdf, keys), cdf.searchsorted(keys, side="right"))
+
+
+@pytest.mark.parametrize("spec", MARK_SPECS, ids=lambda s: s.family)
+def test_tilted_marks_match_rng_choice(spec):
+    for m, size in ((0.5, 20_000), (0.3, 1000), (0.9, 1)):
+        c, x, y = _tilted_marks(spec, m, derive_rng(43, 1), size)
+        c_old, x_old, y_old = _oracle_tilted_marks(spec, m, derive_rng(43, 1), size)
+        assert c == c_old
+        assert np.array_equal(x, x_old) and np.array_equal(y, y_old)
+    # without an index draw the scale is unchanged
+    assert _tilted_marks(spec, 0.5, derive_rng(43, 1), 0)[0] == _oracle_tilted_marks(
+        spec, 0.5, derive_rng(43, 1), 1
+    )[0]
+
+
+class _FixedPool:
+    """A stand-in mark law whose pool is a fixed X vector."""
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=float)
+
+    def sample(self, rng, size, out=None):
+        return np.resize(self.x, size), np.zeros(size)
+
+    def exact_scale(self, m):
+        return 1.0
+
+
+@pytest.mark.parametrize("pool", ([np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]))
+def test_tilted_marks_reject_bad_pool_weights(pool):
+    spec = _FixedPool(pool)
+    for size in (10, 0):
+        with pytest.raises(ValueError):
+            _tilted_marks(spec, 0.5, derive_rng(47, 1), size)
+    # rng.choice, which the search replaces, refused these weights too
+    wts = np.resize(spec.x, _TILT_POOL) ** 0.5
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        derive_rng(47, 1).choice(_TILT_POOL, size=10, p=wts / wts.sum())
+
+
+def test_sample_points_in_place_matches_formula():
+    for m in (0.05, 0.25, 0.4, 0.5, 0.6, 0.75, 0.95):
+        for n in (10, 200, 100_000):
+            want = _oracle_sample_points(derive_rng(53, n), m, n)
+            assert np.array_equal(_sample_points(derive_rng(53, n), m, n), want)
+            buf = np.full(n, np.nan)
+            got = _sample_points(derive_rng(53, n), m, n, out=buf)
+            assert got is buf and np.array_equal(buf, want)
+
+
+@pytest.mark.parametrize("spec", MARK_SPECS, ids=lambda s: s.family)
+def test_mark_sample_in_place_matches_formula(spec):
+    for size in (1, 4096, 100_000):
+        want = _oracle_marks(spec, derive_rng(59, size), size)
+        got = spec.sample(derive_rng(59, size), size)
+        bufs = (np.full(size, np.nan), np.full(size, np.nan))
+        into = spec.sample(derive_rng(59, size), size, out=bufs)
+        assert into[0] is bufs[0] and into[1] is bufs[1]
+        for arr in (*got, *into):
+            assert arr.dtype == np.float64
+        for j in (0, 1):
+            assert np.array_equal(got[j], want[j]) and np.array_equal(into[j], want[j])
+
+
+@pytest.mark.parametrize("spec", MARK_SPECS, ids=lambda s: s.family)
+def test_replica_chunks_match_formulas(spec):
+    for statistic in ("pair_sum", "max_weight", "mean_mark"):
+        args = (0.6, 3000, statistic, spec)
+        assert np.array_equal(
+            _invariance_chunk(args, 61, 3, 9), _oracle_invariance_chunk(args, 61, 3, 9)
+        )
+    args = (0.5, 3000, spec)
+    assert np.array_equal(
+        _corollary_chunk(args, 67, 0, 6), _oracle_corollary_chunk(args, 67, 0, 6)
+    )

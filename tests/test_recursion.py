@@ -10,6 +10,7 @@ from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import (
     QuadratureSpec,
     TabulatedFunction,
+    gauss_hermite,
     guerra_bound,
     mu_r_quadrature,
     optimize_bound,
@@ -202,3 +203,14 @@ def test_mu_site_product_matches_coupled_mc():
         "mu_site_product", mc, Exact(ref.value), allowance=2.0 * losses.mean()
     )
     assert rec.passed, (mc.mean, mc.std_error, ref.value)
+
+
+def test_gauss_hermite_cached_and_read_only():
+    z, w = gauss_hermite(24)
+    t, v = np.polynomial.hermite.hermgauss(24)
+    assert np.array_equal(z, t * math.sqrt(2.0)) and np.array_equal(w, v / math.sqrt(math.pi))
+    assert gauss_hermite(24)[0] is z
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
