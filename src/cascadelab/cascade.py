@@ -17,7 +17,7 @@ attached to the estimates; see the per-operation notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,18 +32,23 @@ from .recursion import (
 )
 from .seeding import (
     MODULE_CASCADE,
+    MODULE_COUPLED,
     MODULE_FIELDS,
     MODULE_MARKS,
+    derive_rng,
     run_replicas,
+    stream_key,
 )
 from .stats import Estimate
 
 MAX_LEAVES = 10**6
 
 # Envelope on the relative accuracy of the estimated truncation losses,
-# used when budgeting systematic error for corrected pair-mass estimates.
-# Aggregated loss estimates track refinement experiments at the percent
-# level; 0.10 leaves an order of magnitude of headroom.
+# used wherever a loss estimate corrects a truncated sum: the pair masses
+# here, and the Gibbs-tilted losses in ``interpolation``, which add the
+# measured dispersion of the per-leaf tilt on top.  Aggregated loss
+# estimates track refinement experiments at the percent level; 0.10
+# leaves an order of magnitude of headroom.
 TAIL_ACCURACY = 0.10
 
 # Operation ids, baked into every derived stream.
@@ -54,37 +59,6 @@ _OP_INVARIANCE = 4
 _OP_FIELDCOV = 5
 
 INVARIANCE_STATISTICS = ("max_weight", "pair_sum")
-
-
-def _seed_tuple(seed) -> tuple:
-    return (seed,) if isinstance(seed, int) else tuple(seed)
-
-
-def _stream(base: tuple, module: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(base[0], spawn_key=tuple(base[1:]) + (module,) + key)
-    )
-
-
-def wedge(alpha, beta, k: int) -> int:
-    """First level at which two leaf paths differ; k+1 when equal."""
-    for level, (a, b) in enumerate(zip(alpha, beta), start=1):
-        if a != b:
-            return level
-    return k + 1
-
-
-@dataclass(frozen=True)
-class TreeIndex:
-    """A leaf path (n_1, ..., n_k), 1-indexed coordinates."""
-
-    path: tuple
-
-    def prefix(self, level: int) -> tuple:
-        return self.path[:level]
-
-    def wedge(self, other: "TreeIndex") -> int:
-        return wedge(self.path, other.path, len(self.path))
 
 
 def subtree_sums(values: np.ndarray, level: int) -> np.ndarray:
@@ -117,8 +91,7 @@ class Cascade:
     levels: list          # levels[l-1]: u values, shape (b,)*l
     node_sums: list       # kept-mass per node block, shape (b,)*(l-1)
     node_tails: list      # conditional mean mass below the kept points
-    v: np.ndarray         # leaf products, shape (b,)*k
-    w: np.ndarray         # normalized leaf weights
+    w: np.ndarray         # normalized leaf weights, shape (b,)*k
 
     @property
     def k(self) -> int:
@@ -204,31 +177,6 @@ class Cascade:
         a = self._concentration_allowances()
         return np.append(a[:-1] + a[1:], a[-1])
 
-    def validate(self) -> None:
-        for level in range(1, self.k + 1):
-            u = self.levels[level - 1]
-            if not np.all(np.diff(u, axis=-1) < 0):
-                raise AssertionError(f"level {level} sibling block not decreasing")
-        if abs(float(self.w.sum()) - 1.0) > 1e-12:
-            raise AssertionError("leaf weights do not normalize")
-
-    def to_snapshot(self, max_leaves: int = 10**4) -> dict:
-        if self.leaf_count > max_leaves:
-            raise ValueError(f"snapshot limited to {max_leaves} leaves")
-        paths = [
-            tuple(int(d) + 1 for d in np.unravel_index(i, (self.b,) * self.k))
-            for i in range(self.leaf_count)
-        ]
-        return {
-            "k": self.k,
-            "b": self.b,
-            "m": list(self.rsb.m),
-            "q": list(self.rsb.q),
-            "paths": [list(p) for p in paths],
-            "v": [float(x) for x in self.v.reshape(-1)],
-            "w": [float(x) for x in self.w.reshape(-1)],
-        }
-
 
 def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
     """Sample one cascade; deterministic in (rsb, b, seed).
@@ -243,14 +191,14 @@ def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
         raise ValueError("branching b must be at least 2")
     if b**rsb.k > MAX_LEAVES:
         raise ValueError(f"leaf count {b**rsb.k} exceeds {MAX_LEAVES}")
-    base = _seed_tuple(seed)
+    base = stream_key(seed)
     levels, sums, tails = [], [], []
     for level in range(1, rsb.k + 1):
         m = rsb.m[level]
         parents = b ** (level - 1)
         block = np.empty((parents, b))
         for j in range(parents):
-            _sample_points(_stream(base, MODULE_CASCADE, level, j), m, b, out=block[j])
+            _sample_points(derive_rng(*base, MODULE_CASCADE, level, j), m, b, out=block[j])
         shape = (b,) * level
         levels.append(block.reshape(shape))
         sums.append(block.sum(axis=1).reshape(shape[:-1]))
@@ -264,7 +212,6 @@ def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
         levels=levels,
         node_sums=sums,
         node_tails=tails,
-        v=v,
         w=v / v.sum(),
     )
 
@@ -315,7 +262,7 @@ def sample_marks(b: int, k: int, taus, base: tuple, module: int = MODULE_MARKS):
         parents = b ** (level - 1)
         block = np.empty((parents, b))
         for j in range(parents):
-            block[j] = _stream(base, module, level, j).standard_normal(b)
+            block[j] = derive_rng(*base, module, level, j).standard_normal(b)
         marks.append(taus[level - 1] * block.reshape((b,) * level))
     return marks
 
@@ -527,99 +474,74 @@ def weight_tilt_invariance(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadeFields:
-    """Per-node field columns, reconstructed lazily from path streams."""
+    """Gaussian field columns on the nodes of a depth-k, b-ary tree.
 
-    cascade: Cascade
-    mixture: MixtureFunction
+    The b children of parent j at level l (the root: level 0, parent 0)
+    draw their columns from stream (seed, modules[l], l, j), so a column
+    is a function of the seed and its node alone.
+    """
+
+    b: int
     N: int
     base: tuple
-    column_stds: np.ndarray
-    _dense: np.ndarray | None = field(default=None, repr=False)
+    column_stds: np.ndarray  # level 0..k
+    modules: tuple           # stream module per level 0..k
 
-    def root_column(self) -> np.ndarray:
-        rng = _stream(self.base, MODULE_FIELDS, 0, 0)
-        return self.column_stds[0] * rng.standard_normal(self.N)
+    @property
+    def k(self) -> int:
+        return len(self.column_stds) - 1
 
-    def level_block(self, level: int, parent: int) -> np.ndarray:
-        """Columns of all b children of one parent, shape (b, N)."""
-        rng = _stream(self.base, MODULE_FIELDS, level, parent)
-        out = rng.standard_normal((self.cascade.b, self.N))
-        return self.column_stds[level] * out
-
-    def field_for_leaf(self, path) -> np.ndarray:
-        """s^alpha for one 0-indexed path, summing columns along it."""
-        b = self.cascade.b
-        total = self.root_column()
-        parent = 0
-        for level, digit in enumerate(path, start=1):
-            total = total + self.level_block(level, parent)[digit]
-            parent = parent * b + digit
-        return total
+    def _columns(self, level: int, parent: int, shape) -> np.ndarray:
+        rng = derive_rng(*self.base, self.modules[level], level, parent)
+        return self.column_stds[level] * rng.standard_normal(shape)
 
     def all_fields(self) -> np.ndarray:
-        """Leaf-by-site field matrix, shape (b^k, N), row-major leaf order."""
-        if self._dense is not None:
-            return self._dense
-        b, k = self.cascade.b, self.cascade.k
-        total = np.tile(self.root_column(), (b**k, 1))
+        """Leaf-by-site field matrix, shape (b^k, N), row-major leaf order.
+
+        Each leaf sums the columns on its path, root first, then levels
+        1, 2, ..., k.
+        """
+        b, k, N = self.b, self.k, self.N
+        total = np.tile(self._columns(0, 0, N), (b**k, 1))
         for level in range(1, k + 1):
             rows = np.vstack(
-                [self.level_block(level, j) for j in range(b ** (level - 1))]
+                [self._columns(level, j, (b, N)) for j in range(b ** (level - 1))]
             )
             total += np.repeat(rows, b ** (k - level), axis=0)
-        self._dense = total
         return total
+
+    def independent_from(self, r: int) -> "CascadeFields":
+        """A second copy: the same columns below level r, fresh from r on."""
+        return replace(self, modules=self.modules[:r] + (MODULE_COUPLED,) * (self.k + 1 - r))
 
 
 def attach_fields(
-    cascade: Cascade, mixture: MixtureFunction, rsb: RSBParams, N: int, seed
+    b: int, mixture: MixtureFunction, rsb: RSBParams, N: int, seed
 ) -> CascadeFields:
     """Gaussian columns z along the tree; leaf sums have cov xi'(q_wedge)."""
-    if rsb is not cascade.rsb and (rsb.m != cascade.rsb.m or rsb.q != cascade.rsb.q):
-        raise ValueError("rsb does not match the cascade's parameters")
     if not 1 <= N <= 20:
         raise ValueError("N outside 1..20")
     check_field_compatible(mixture)
     stds = np.sqrt(np.maximum(rsb.variances(mixture), 0.0))
     return CascadeFields(
-        cascade=cascade,
-        mixture=mixture,
+        b=b,
         N=N,
-        base=_seed_tuple(seed),
+        base=stream_key(seed),
         column_stds=stds,
+        modules=(MODULE_FIELDS,) * (rsb.k + 1),
     )
 
 
 def _fieldcov_chunk(args, master, start, stop):
     rsb, mixture, N, b, alpha, beta, i, j = args
-    stds = np.sqrt(np.maximum(rsb.variances(mixture), 0.0))
-    k = rsb.k
+    row_a = np.ravel_multi_index(alpha, (b,) * rsb.k)
+    row_b = np.ravel_multi_index(beta, (b,) * rsb.k)
     out = np.empty(stop - start)
     for rep in range(start, stop):
-        base = (master, _OP_FIELDCOV, rep)
-        # Blocks are cached per replica so the two paths reuse identical
-        # draws wherever they share a prefix, exactly as a full build would.
-        blocks: dict = {}
-
-        def column(level, parent, digit):
-            key = (level, parent)
-            if key not in blocks:
-                rng = _stream(base, MODULE_FIELDS, level, parent)
-                blocks[key] = stds[level] * rng.standard_normal((b, N))
-            return blocks[key][digit]
-
-        root = stds[0] * _stream(base, MODULE_FIELDS, 0, 0).standard_normal(N)
-        fields = []
-        for path in (alpha, beta):
-            total = root.copy()
-            parent = 0
-            for level, digit in enumerate(path, start=1):
-                total = total + column(level, parent, digit)
-                parent = parent * b + digit
-            fields.append(total)
-        out[rep - start] = fields[0][i] * fields[1][j]
+        fields = attach_fields(b, mixture, rsb, N, (master, _OP_FIELDCOV, rep)).all_fields()
+        out[rep - start] = fields[row_a, i] * fields[row_b, j]
     return out
 
 

@@ -9,7 +9,8 @@ byte-identical apart from the ``generated_at`` field, regardless of the
 worker count.
 
 Exit status: 0 when every check passed, 1 when at least one failed, 2
-when the configuration was rejected (nothing is written in that case).
+when the configuration was rejected, 3 on an internal fault such as a
+non-finite value or a broken invariant.  Nothing is written on 2 or 3.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import metadata
@@ -244,36 +246,24 @@ def config_hash(values: dict) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved run: command, parameters, and which keys were set."""
+    """One resolved run: command, parameters, and which keys were set.
+
+    Parameters are read as attributes (``cfg.replicas``); their names and
+    defaults are the keys of ``_DEFAULTS``.
+    """
 
     command: str
     explicit: frozenset = frozenset()
-    mixture: list = field(default_factory=lambda: list(_DEFAULTS["mixture"]))
-    m: list = field(default_factory=lambda: list(_DEFAULTS["m"]))
-    q: list = field(default_factory=lambda: list(_DEFAULTS["q"]))
-    N: int = _DEFAULTS["N"]
-    b: int = _DEFAULTS["b"]
-    n_max: int = _DEFAULTS["n_max"]
-    replicas: int = _DEFAULTS["replicas"]
-    nodes: int = _DEFAULTS["nodes"]
-    t: float = _DEFAULTS["t"]
-    t_grid: list = field(default_factory=lambda: list(_DEFAULTS["t_grid"]))
-    r: list | None = None
-    h: float = _DEFAULTS["h"]
-    k: int | None = None
-    step: float = _DEFAULTS["step"]
-    seed: int = _DEFAULTS["seed"]
-    tolerance: float = _DEFAULTS["tolerance"]
-    mark_family: str = _DEFAULTS["mark_family"]
-    statistic: str = _DEFAULTS["statistic"]
-    check: str = _DEFAULTS["check"]
-    preset: str = _DEFAULTS["preset"]
-    scan_q1: list | None = None
-    json_out: str | None = None
-    csv_out: str | None = None
+    values: dict = field(default_factory=lambda: dict(_DEFAULTS))
+
+    def __getattr__(self, key):
+        values = self.__dict__.get("values", {})
+        if key in values:
+            return values[key]
+        raise AttributeError(key)
 
     def values_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _DEFAULTS}
+        return dict(self.values)
 
     def mixture_fn(self):
         return make_mixture([tuple(pair) for pair in self.mixture])
@@ -302,7 +292,7 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> RunCon
         for key, val in source.items():
             values[key] = _validated(key, val)
             explicit.add(key)
-    return RunConfig(command=command, explicit=frozenset(explicit), **values)
+    return RunConfig(command=command, explicit=frozenset(explicit), values=values)
 
 
 def child_seed(master: int, index: int) -> int:
@@ -414,11 +404,15 @@ def cmd_pd(cfg: RunConfig):
         )
     spec = mark_preset(cfg.mark_family)
     m0 = cfg.m[0]
-    moments = corollary_moments(
-        m0, spec, max(cfg.replicas, 1000), cfg.n_max, child_seed(cfg.seed, 40)
-    )
+    # The moment identities need more replicas than the other checks.
+    replicas = max(cfg.replicas, 1000)
+    moments = corollary_moments(m0, spec, replicas, cfg.n_max, child_seed(cfg.seed, 40))
     for name, lhs, rhs in moments:
-        records.append(identity_check(f"corollary_{name}", lhs, rhs, cfg.tolerance))
+        records.append(
+            identity_check(
+                f"corollary_{name}", lhs, rhs, cfg.tolerance, extras={"replicas": replicas}
+            )
+        )
     marked, tilted = verify_invariance(
         m0, spec, cfg.statistic, cfg.replicas, cfg.n_max, child_seed(cfg.seed, 41)
     )
@@ -540,11 +534,13 @@ def cmd_interpolate(cfg: RunConfig):
             identity_check("phi_t0_vs_quadrature", est0, Exact(reference.phi0), cfg.tolerance)
         )
         est1 = phi_t(cfg.N, 1.0, mix, rsb, cfg.b, cfg.h, cfg.replicas, child_seed(cfg.seed, 61))
-        fe = exact_free_energy(
-            cfg.N, mix, cfg.h, max(cfg.replicas, 200), child_seed(cfg.seed, 62)
-        )
+        # exact_free_energy takes at least 200 disorder replicas.
+        replicas = max(cfg.replicas, 200)
+        fe = exact_free_energy(cfg.N, mix, cfg.h, replicas, child_seed(cfg.seed, 62))
         records.append(
-            identity_check("phi_t1_vs_enumeration", est1, fe.estimate, cfg.tolerance)
+            identity_check(
+                "phi_t1_vs_enumeration", est1, fe, cfg.tolerance, extras={"replicas": replicas}
+            )
         )
         if cfg.csv_out:
             seed_g = child_seed(cfg.seed, 63)
@@ -687,7 +683,7 @@ def cmd_verify_all(cfg: RunConfig):
     records.append(identity_check("phi_t0_vs_quadrature", est, Exact(reference.phi0), tol))
     est = phi_t(4, 1.0, mix_i, rsb_i, n(50, 30), 0.3, n(300, 120), seed(10))
     fe = exact_free_energy(4, mix_i, 0.3, n(400, 200), seed(11))
-    records.append(identity_check("phi_t1_vs_enumeration", est, fe.estimate, tol))
+    records.append(identity_check("phi_t1_vs_enumeration", est, fe, tol))
     records.append(
         derivative_check(
             4, 0.5, mix_i, rsb_i, n(30, 20), 0.3, n(200, 80), seed(12)
@@ -829,6 +825,10 @@ def run(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(text)
     try:
         if cfg.json_out:

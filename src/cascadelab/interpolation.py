@@ -22,23 +22,15 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cascade import (
+    TAIL_ACCURACY,
     Cascade,
-    CascadeFields,
-    _seed_tuple,
-    _stream,
     attach_fields,
     build_cascade,
     prefix_concentrations,
     prefix_cross,
 )
 from .mixture import MixtureFunction, RSBParams, delta_array, theta
-from .seeding import (
-    MODULE_COUPLED,
-    MODULE_FIELDS,
-    MODULE_INTERP,
-    MODULE_SK,
-    run_replicas,
-)
+from .seeding import MODULE_INTERP, MODULE_SK, derive_rng, run_replicas, stream_key
 from .sk_model import (
     HamiltonianTable,
     monomial_signs,
@@ -55,11 +47,6 @@ MAX_JOINT_STATES = 2_500_000
 MAX_COUPLED_SITES = 4
 MAX_COUPLED_RSB = 2
 NORMALIZATION_TOL = 1e-10
-
-# Relative-accuracy envelope for the estimated truncation losses once the
-# leaf masses are tilted by the Gibbs factor; the plain-cascade envelope
-# plus the measured dispersion of the per-leaf tilt.
-TAIL_ACCURACY = 0.10
 
 DERIVATIVE_STEP = 0.02
 # Central differences carry a phi'''(t) delta^2 / 6 bias; the third
@@ -120,7 +107,6 @@ class GibbsSystem:
     mixture: MixtureFunction
     table: HamiltonianTable
     cascade: Cascade
-    fields: CascadeFields
     gamma: np.ndarray  # (2^N, b^k), normalized
     log_norm: float
 
@@ -223,15 +209,15 @@ def build_system(
 ) -> GibbsSystem:
     """Enumerate Gamma{(sigma, alpha)} for one disorder realization."""
     _check_joint_budget(N, rsb, b, t)
-    base = _seed_tuple(seed)
+    base = stream_key(seed)
     cascade = build_cascade(rsb, b, base)
-    fields = attach_fields(cascade, mixture, rsb, N, base)
-    table = sample_hamiltonian(N, mixture, _stream(base, MODULE_SK))
+    fields = attach_fields(b, mixture, rsb, N, base).all_fields()
+    table = sample_hamiltonian(N, mixture, derive_rng(*base, MODULE_SK))
 
     spins = spin_matrix(N)
     expo = (
         np.sqrt(t) * table.values[:, None]
-        + np.sqrt(1.0 - t) * (spins @ fields.all_fields().T)
+        + np.sqrt(1.0 - t) * (spins @ fields.T)
         + h * spin_sums(N)[:, None]
         + np.log(cascade.leaf_weights_flat())[None, :]
     )
@@ -244,7 +230,6 @@ def build_system(
         mixture=mixture,
         table=table,
         cascade=cascade,
-        fields=fields,
         gamma=gamma,
         log_norm=log_norm,
     )
@@ -548,32 +533,15 @@ def build_coupled_system(
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t = {t} outside [0, 1]")
 
-    base = _seed_tuple(seed)
-    coupled_rsb = coupled_n_sequence(rsb, r)
-    cascade = build_cascade(coupled_rsb, b, base)
-    table = sample_hamiltonian(N, mixture, _stream(base, MODULE_SK))
-
-    k, leaf_count = rsb.k, b ** rsb.k
-    stds = np.sqrt(np.maximum(rsb.variances(mixture), 0.0))
-    root = stds[0] * _stream(base, MODULE_FIELDS, 0, 0).standard_normal(N)
-    fields = [np.tile(root, (leaf_count, 1)), np.tile(root, (leaf_count, 1))]
-    for level in range(1, k + 1):
-        repeats = b ** (k - level)
-        for copy in (0, 1):
-            module = MODULE_FIELDS if copy == 0 or level < r else MODULE_COUPLED
-            rows = np.vstack(
-                [
-                    stds[level]
-                    * _stream(base, module, level, j).standard_normal((b, N))
-                    for j in range(b ** (level - 1))
-                ]
-            )
-            fields[copy] += np.repeat(rows, repeats, axis=0)
+    base = stream_key(seed)
+    cascade = build_cascade(coupled_n_sequence(rsb, r), b, base)
+    table = sample_hamiltonian(N, mixture, derive_rng(*base, MODULE_SK))
+    fields = attach_fields(b, mixture, rsb, N, base)
 
     spins = spin_matrix(N)
     single = np.sqrt(t) * table.values + h * spin_sums(N)
-    tilt1 = np.sqrt(1.0 - t) * (spins @ fields[0].T)
-    tilt2 = np.sqrt(1.0 - t) * (spins @ fields[1].T)
+    tilt1 = np.sqrt(1.0 - t) * (spins @ fields.all_fields().T)
+    tilt2 = np.sqrt(1.0 - t) * (spins @ fields.independent_from(r).all_fields().T)
     expo = (
         single[:, None, None]
         + single[None, :, None]

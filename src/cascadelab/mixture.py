@@ -58,14 +58,6 @@ class MixtureFunction:
             out += beta * beta * p * x ** (p - 1)
         return out if out.ndim else float(out)
 
-    def xi_second(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for p, beta in self.coefficients:
-            if p >= 2:
-                out += beta * beta * p * (p - 1) * x ** (p - 2)
-        return out if out.ndim else float(out)
-
     @property
     def max_power(self) -> int:
         return max(p for p, _ in self.coefficients)
@@ -127,25 +119,6 @@ def check_field_compatible(mix: MixtureFunction) -> None:
             "mixtures with a linear (p=1) term have xi'(0) > 0 and cannot "
             "be used to build hierarchical Gaussian fields"
         )
-
-
-@dataclass(frozen=True)
-class OverlapValue:
-    """The normalized inner product R_12 of two spin configurations."""
-
-    r12: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.r12 <= 1.0:
-            raise ValueError(f"overlap {self.r12} outside [-1, 1]")
-
-    @classmethod
-    def from_configs(cls, sigma1, sigma2) -> "OverlapValue":
-        s1 = np.asarray(sigma1)
-        s2 = np.asarray(sigma2)
-        if s1.shape != s2.shape:
-            raise ValueError("configurations must have equal length")
-        return cls(float(np.dot(s1, s2)) / s1.size)
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,18 @@ WORKERS_ENV = "CASCADELAB_WORKERS"
 CHUNK_SIZE = 256
 
 
+def stream_key(seed) -> tuple:
+    """A seed as a stream-key prefix: an int n becomes (n,), a tuple stays."""
+    return (seed,) if isinstance(seed, int) else tuple(seed)
+
+
 def derive_rng(master: int, *key: int) -> np.random.Generator:
     """Return the generator for stream (master, *key).
 
     Streams with distinct keys are statistically independent; the same
-    (master, key) always yields the same stream.
+    (master, key) always yields the same stream.  Tree nodes take
+    ``derive_rng(*stream_key(seed), module, level, parent)``, where
+    ``seed`` is an int or a (master, operation..., replica) tuple.
     """
     return np.random.default_rng(np.random.SeedSequence(master, spawn_key=key))
 
@@ -66,14 +73,19 @@ def run_replicas(chunk_fn, args: tuple, master: int, n_replicas: int) -> np.ndar
     spans = list(_chunks(n_replicas))
     workers = worker_count()
     if workers > 1 and len(spans) > 1:
+        pool = None
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(chunk_fn, args, master, a, b) for a, b in spans]
+            pool = ProcessPoolExecutor(max_workers=workers)
+            futures = [pool.submit(chunk_fn, args, master, a, b) for a, b in spans]
+        except (OSError, ValueError):
+            # Pool start-up can fail in restricted environments; the serial
+            # path produces identical results.  Errors raised by a chunk
+            # are not caught: they surface from ``result()`` below.
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+        else:
+            with pool:
                 parts = [f.result() for f in futures]
             return np.concatenate(parts, axis=0)
-        except (OSError, ValueError):
-            # Pool creation can fail in restricted environments; the serial
-            # path produces identical results.
-            pass
     parts = [chunk_fn(args, master, a, b) for a, b in spans]
     return np.concatenate(parts, axis=0)

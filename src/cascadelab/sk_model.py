@@ -164,22 +164,6 @@ def hamiltonian_covariance(
     return Estimate.from_values(vals / N)
 
 
-@dataclass
-class FreeEnergyEstimate:
-    """Disorder average of the exact per-site log-partition."""
-
-    N: int
-    estimate: Estimate
-
-    @property
-    def mean(self) -> float:
-        return self.estimate.mean
-
-    @property
-    def std_error(self) -> float:
-        return self.estimate.std_error
-
-
 def log_partition(table: HamiltonianTable, h: float) -> float:
     """log sum_sigma exp(H(sigma) + h sum_i sigma_i), exact."""
     return float(logsumexp(table.values + h * spin_sums(table.N)))
@@ -198,13 +182,13 @@ def _free_energy_chunk(args, master, start, stop):
 
 def exact_free_energy(
     N: int, mixture: MixtureFunction, h: float, disorder_replicas: int, seed: int
-) -> FreeEnergyEstimate:
+) -> Estimate:
     """F_N = N^{-1} E log Z_N, exact inner enumeration, MC over disorder."""
     _check_size(N, mixture)
     if disorder_replicas < 200:
         raise ValueError("disorder_replicas must be >= 200")
     vals = run_replicas(_free_energy_chunk, (N, mixture, h), seed, disorder_replicas)
-    return FreeEnergyEstimate(N=N, estimate=Estimate.from_values(vals))
+    return Estimate.from_values(vals)
 
 
 def verify_bound(

@@ -34,12 +34,22 @@ class Estimate:
     def __post_init__(self):
         if self.replicas < 2:
             raise ValueError("an Estimate needs at least 2 replicas")
+        if not all(map(math.isfinite, (self.mean, self.std_error, self.allowance))):
+            raise FloatingPointError(
+                f"non-finite estimate: mean {self.mean}, std_error "
+                f"{self.std_error}, allowance {self.allowance}"
+            )
         if self.std_error < 0 or self.allowance < 0:
             raise ValueError("std_error and allowance must be nonnegative")
 
     @classmethod
     def from_values(cls, values, allowance: float = 0.0) -> "Estimate":
         values = np.asarray(values, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise FloatingPointError(
+                f"replica {bad[0]} gave the non-finite value {values[bad[0]]}"
+            )
         n = values.size
         return cls(
             mean=float(values.mean()),

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from cascadelab.cascade import (
+    _OP_FIELDCOV,
     _OP_OVERLAP,
     MODULE_CASCADE,
-    _seed_tuple,
-    _stream,
+    _fieldcov_chunk,
+    attach_fields,
     build_cascade,
     field_covariance,
     leaf_functional,
@@ -19,7 +20,6 @@ from cascadelab.cascade import (
     sample_marks,
     subtree_sums,
     tilted_average,
-    wedge,
     weight_tilt_invariance,
 )
 from cascadelab.functionals import PairFunctional, PathFunctional
@@ -27,34 +27,19 @@ from cascadelab.interpolation import (
     _OP_MASS,
     MODULE_INTERP,
     _corrected_combo,
+    build_coupled_system,
     build_system,
     gibbs_overlap_mass,
 )
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.pd_process import sample_pd
 from cascadelab.recursion import QuadratureSpec
+from cascadelab.seeding import MODULE_COUPLED, MODULE_FIELDS, MODULE_SK, derive_rng
+from cascadelab.sk_model import sample_hamiltonian, spin_matrix, spin_sums
 from cascadelab.stats import Estimate, Exact, identity_check
 
 RSB2 = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
 QUAD = QuadratureSpec(nodes_per_level=40)
-
-
-def test_wedge_basics():
-    assert wedge((0, 1, 2), (0, 1, 2), 3) == 4
-    assert wedge((0, 1, 2), (0, 1, 5), 3) == 3
-    assert wedge((0, 1, 2), (0, 2, 2), 3) == 2
-    assert wedge((1, 1, 2), (0, 1, 2), 3) == 1
-
-
-@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
-def test_wedge_symmetric_and_bounded(b, k, seed):
-    rng = np.random.default_rng(seed)
-    a = tuple(rng.integers(0, b, size=k))
-    c = tuple(rng.integers(0, b, size=k))
-    assert wedge(a, c, k) == wedge(c, a, k)
-    assert 1 <= wedge(a, c, k) <= k + 1
-    assert wedge(a, a, k) == k + 1
 
 
 def test_prefix_concentrations_small_case():
@@ -91,7 +76,7 @@ def test_cascade_k1_is_flat_pd():
     # and a single level is exactly one flat PD draw from that stream
     rsb = RSBParams.from_interior((0.6,), (0.5,))
     casc = build_cascade(rsb, 50, 9)
-    flat = sample_pd(0.6, 50, _stream(_seed_tuple(9), MODULE_CASCADE, 1, 0))
+    flat = sample_pd(0.6, 50, derive_rng(9, MODULE_CASCADE, 1, 0))
     assert np.array_equal(casc.w.ravel(), flat.w)
 
 
@@ -152,6 +137,15 @@ def test_field_covariance_matches_xi_prime():
     est = field_covariance(rsb, mix, 2, 4, (0, 1), (0, 1), 0, 1, 6000, 29)
     rec = identity_check("cov_sites", est, Exact(0.0))
     assert rec.passed, (est.mean, est.std_error)
+
+
+def test_field_covariance_rejects_linear_term():
+    # xi'(0) > 0 has no root column to carry it: the estimate would miss
+    # xi'(1) by many standard errors instead of failing loudly.
+    mix = make_mixture([(1, 0.5), (2, 1.0)])
+    rsb = RSBParams.from_interior((0.5,), (0.5,))
+    with pytest.raises(ValueError, match="linear"):
+        field_covariance(rsb, mix, 1, 4, (0,), (0,), 0, 0, 100, 29)
 
 
 def test_log_partition_constant_functional():
@@ -288,7 +282,7 @@ def test_build_cascade_blocks_match_formula():
     for level in (1, 2):
         block = casc.levels[level - 1].reshape(-1, 30)
         for j, row in enumerate(block):
-            rng = _stream(_seed_tuple(5), MODULE_CASCADE, level, j)
+            rng = derive_rng(5, MODULE_CASCADE, level, j)
             assert np.array_equal(row, _oracle_sample_points(rng, RSB2.m[level], 30))
 
 
@@ -310,3 +304,90 @@ def test_gibbs_masses_match_per_level_values():
             vals[rep] = _oracle_wedge_mass(system, r)
         want = Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
         assert masses[r - 1] == want
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the one field assembler
+#
+# The oracles are the assemblers that ``CascadeFields.all_fields`` replaced:
+# the inline two-copy loop of the coupled system and the path walk of the
+# field covariance, with streams spelled as the SeedSequence expression
+# they used.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_stream(base, module, *key):
+    return np.random.default_rng(
+        np.random.SeedSequence(base[0], spawn_key=tuple(base[1:]) + (module,) + key)
+    )
+
+
+def _oracle_coupled_fields(rsb, mixture, N, b, r, base):
+    k, leaf_count = rsb.k, b**rsb.k
+    stds = np.sqrt(np.maximum(rsb.variances(mixture), 0.0))
+    root = stds[0] * _oracle_stream(base, MODULE_FIELDS, 0, 0).standard_normal(N)
+    fields = [np.tile(root, (leaf_count, 1)), np.tile(root, (leaf_count, 1))]
+    for level in range(1, k + 1):
+        for copy in (0, 1):
+            module = MODULE_FIELDS if copy == 0 or level < r else MODULE_COUPLED
+            rows = np.vstack(
+                [
+                    stds[level] * _oracle_stream(base, module, level, j).standard_normal((b, N))
+                    for j in range(b ** (level - 1))
+                ]
+            )
+            fields[copy] += np.repeat(rows, b ** (k - level), axis=0)
+    return fields
+
+
+def test_coupled_fields_match_inline_loop():
+    mix = sk_mixture(0.6)
+    rsb3 = RSBParams.from_interior((0.25, 0.55, 0.9), (0.2, 0.5, 0.7))
+    for rsb, b in ((RSB2, 5), (rsb3, 3)):
+        for r in range(1, rsb.k + 1):
+            base = (81, MODULE_INTERP, r)
+            first, second = _oracle_coupled_fields(rsb, mix, 3, b, r, base)
+            fields = attach_fields(b, mix, rsb, 3, base)
+            assert np.array_equal(fields.all_fields(), first)
+            assert np.array_equal(fields.independent_from(r).all_fields(), second)
+
+
+def test_coupled_system_matches_inline_loop():
+    mix, N, b, t, h = sk_mixture(0.6), 2, 6, 0.4, 0.3
+    spins = spin_matrix(N)
+    for r in (1, 2):
+        base = (83, MODULE_INTERP, r)
+        system = build_coupled_system(N, t, r, mix, RSB2, b, h, base)
+        first, second = _oracle_coupled_fields(RSB2, mix, N, b, r, base)
+        table = sample_hamiltonian(N, mix, _oracle_stream(base, MODULE_SK))
+        single = np.sqrt(t) * table.values + h * spin_sums(N)
+        expo = (
+            single[:, None, None]
+            + single[None, :, None]
+            + (np.sqrt(1.0 - t) * (spins @ first.T))[:, None, :]
+            + (np.sqrt(1.0 - t) * (spins @ second.T))[None, :, :]
+            + np.log(system.cascade.leaf_weights_flat())[None, None, :]
+        )
+        assert system.log_norm == float(logsumexp(expo))
+        assert np.array_equal(system.gamma, np.exp(expo - system.log_norm))
+
+
+def test_field_covariance_matches_path_walk():
+    mix = make_mixture([(2, 0.8), (4, 0.4)])
+    alpha, beta, b, N = (0, 1), (0, 2), 4, 2
+    stds = np.sqrt(np.maximum(RSB2.variances(mix), 0.0))
+    want = np.empty(300)
+    for rep in range(300):
+        base = (29, _OP_FIELDCOV, rep)
+        root = stds[0] * _oracle_stream(base, MODULE_FIELDS, 0, 0).standard_normal(N)
+        fields = []
+        for path in (alpha, beta):
+            total, parent = root.copy(), 0
+            for level, digit in enumerate(path, start=1):
+                block = _oracle_stream(base, MODULE_FIELDS, level, parent).standard_normal((b, N))
+                total = total + (stds[level] * block)[digit]
+                parent = parent * b + digit
+            fields.append(total)
+        want[rep] = fields[0][0] * fields[1][1]
+    got = _fieldcov_chunk((RSB2, mix, N, b, alpha, beta, 0, 1), 29, 0, 300)
+    assert np.array_equal(got, want)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cascadelab import cli
 from cascadelab.cli import (
     ConfigError,
     child_seed,
@@ -227,3 +228,40 @@ def test_interpolate_overlap_rejects_bad_r(capsys):
               "--r", "[3]", "--N", "2", "--b", "10", "--replicas", "10"])
     assert rc == 2
     assert "r = 3 outside 1..2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        AssertionError("joint weights failed to normalize"),
+        FloatingPointError("replica 3 gave the non-finite value nan"),
+    ],
+)
+def test_internal_fault_exits_three(fault, tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise fault
+
+    monkeypatch.setitem(cli._COMMANDS, "pd", broken)
+    out = tmp_path / "pd.json"
+    assert run(["pd", "--json-out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "internal error" in captured.err and str(fault) in captured.err
+
+
+def test_pd_reports_corollary_replica_floor(capsys):
+    rc = run(["pd", "--m", "[0.5]", "--replicas", "100", "--n-max", "1000", "--seed", "7"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["replicas"] == 100
+    corollary = [rec for rec in report["records"] if rec["name"].startswith("corollary_")]
+    assert corollary and all(rec["replicas"] == 1000 for rec in corollary)
+    assert all("replicas" not in rec for rec in report["records"] if rec not in corollary)
+
+
+def test_config_keys_are_the_defaults():
+    cfg = resolve_config("pd", {}, {"replicas": 7})
+    assert cfg.replicas == 7 and cfg.n_max == 100000 and cfg.r is None
+    assert list(cfg.values_dict()) == list(cli._DEFAULTS)
+    with pytest.raises(AttributeError):
+        cfg.no_such_key

@@ -64,7 +64,7 @@ def test_phi_endpoint_t1_matches_enumeration():
     mix = sk_mixture(0.5)
     est = phi_t(3, 1.0, mix, RSB1, 60, 0.3, 300, seed=94)
     fe = exact_free_energy(3, mix, 0.3, 300, seed=95)
-    rec = identity_check("phi_t1", est, fe.estimate)
+    rec = identity_check("phi_t1", est, fe)
     assert rec.passed, (est.mean, fe.mean, est.allowance)
 
 

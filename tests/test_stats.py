@@ -22,6 +22,15 @@ def test_estimate_carries_allowance():
     assert est.std_error == 0.0
 
 
+def test_estimate_rejects_non_finite_values():
+    with pytest.raises(FloatingPointError, match="replica 2 "):
+        Estimate.from_values(np.array([1.0, 2.0, np.nan, np.inf]))
+    for bad in ({"mean": np.nan}, {"std_error": np.inf}, {"allowance": np.nan}):
+        fields = {"mean": 1.0, "std_error": 0.1, "replicas": 10, **bad}
+        with pytest.raises(FloatingPointError):
+            Estimate(**fields)
+
+
 def test_identity_check_pass_and_fail():
     lhs = Estimate.from_values(np.array([0.99, 1.01, 1.0, 1.0]))
     rec = identity_check("close", lhs, Exact(1.0))
