@@ -276,6 +276,14 @@ def leaf_functional(x_fn: PathFunctional, marks, b: int, k: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(x_fn(arrs), dtype=float), (b,) * k)
 
 
+def _tilted_draw(rsb: RSBParams, b: int, x_fn: PathFunctional, taus, base: tuple):
+    """One cascade with its marks: (cascade, marks, X, log w + X)."""
+    casc = build_cascade(rsb, b, base)
+    marks = sample_marks(b, rsb.k, taus, base)
+    x = leaf_functional(x_fn, marks, b, rsb.k)
+    return casc, marks, x, np.log(casc.w) + x
+
+
 # ---------------------------------------------------------------------------
 # log-partition identity
 # ---------------------------------------------------------------------------
@@ -285,12 +293,7 @@ def _logpart_chunk(args, master, start, stop):
     rsb, b, x_fn, taus = args
     out = np.empty((stop - start, 2))
     for rep in range(start, stop):
-        base = (master, _OP_LOGPART, rep)
-        casc = build_cascade(rsb, b, base)
-        marks = sample_marks(b, rsb.k, taus, base)
-        x = leaf_functional(x_fn, marks, b, rsb.k)
-        logw = np.log(casc.w)
-        a = logw + x
+        casc, _, x, a = _tilted_draw(rsb, b, x_fn, taus, (master, _OP_LOGPART, rep))
         amax = a.max()
         out[rep - start, 0] = float(amax + np.log(np.exp(a - amax).sum()))
         # Allowance: relative missing mass, scaled up when the kept
@@ -339,13 +342,8 @@ def _tilt_chunk(args, master, start, stop):
     rsb, b, x_fn, y_fn, taus, restricted_r = args
     out = np.empty((stop - start, 2))
     for rep in range(start, stop):
-        base = (master, _OP_TILT, rep)
-        casc = build_cascade(rsb, b, base)
-        marks = sample_marks(b, rsb.k, taus, base)
-        x = leaf_functional(x_fn, marks, b, rsb.k)
-        a = np.log(casc.w) + x
-        a -= a.max()
-        p = np.exp(a)
+        casc, marks, _, a = _tilted_draw(rsb, b, x_fn, taus, (master, _OP_TILT, rep))
+        p = np.exp(a - a.max())
         p /= p.sum()
         eps = casc.cumulative_losses()[-1]
         if restricted_r is None:
@@ -422,12 +420,8 @@ def _invariance_chunk(args, master, start, stop):
     out = np.empty((stop - start, 4))
     for rep in range(start, stop):
         tilt_base = (master, _OP_INVARIANCE, rep, 0)
-        casc = build_cascade(rsb, b, tilt_base)
-        marks = sample_marks(b, rsb.k, taus, tilt_base)
-        x = leaf_functional(x_fn, marks, b, rsb.k)
-        a = np.log(casc.w) + x
-        a -= a.max()
-        p = np.exp(a)
+        casc, _, _, a = _tilted_draw(rsb, b, x_fn, taus, tilt_base)
+        p = np.exp(a - a.max())
         p /= p.sum()
         plain = build_cascade(rsb, b, (master, _OP_INVARIANCE, rep, 1))
         s_tilt = _weight_statistic(statistic, p)
@@ -567,6 +561,8 @@ def field_covariance(
         raise ValueError("paths must have length k")
     if any(not 0 <= d < b for d in alpha + beta):
         raise ValueError("path digits outside 0..b-1")
+    if not (0 <= i < N and 0 <= j < N):
+        raise ValueError(f"site indices ({i}, {j}) outside 0..{N - 1}")
     vals = run_replicas(
         _fieldcov_chunk, (rsb, mixture, N, b, alpha, beta, i, j), seed, replicas
     )

@@ -16,7 +16,8 @@ truncation correction, and the only systematic term in that check is the
 finite-difference step.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -79,6 +80,33 @@ def _monomial_data(table: HamiltonianTable):
     )
 
 
+def _tilted_loss(eps, rho):
+    """Missing mass eps as seen by the Gibbs measure, whose mean tilt is rho."""
+    return eps * rho / (1.0 - eps + eps * rho)
+
+
+def _sample_disorder(N, mixture, rsb, cascade_rsb, b, seed):
+    """One disorder draw: (cascade, field columns, Hamiltonian table).
+
+    The cascade takes the exponents of ``cascade_rsb``, the columns the
+    variances of ``rsb``.
+    """
+    base = stream_key(seed)
+    cascade = build_cascade(cascade_rsb, b, base)
+    fields = attach_fields(b, mixture, rsb, N, base)
+    table = sample_hamiltonian(N, mixture, derive_rng(*base, MODULE_SK))
+    return cascade, fields, table
+
+
+def _gibbs_weights(expo, message):
+    """exp(expo - log Z) and log Z, checked to sum to one."""
+    log_norm = float(logsumexp(expo))
+    gamma = np.exp(expo - log_norm)
+    if abs(float(gamma.sum()) - 1.0) > NORMALIZATION_TOL:
+        raise AssertionError(message)
+    return gamma, log_norm
+
+
 def _corrected_combo(terms, eps, margin):
     """Value and error budget of sum_j c_j S_j (1 - eps_{l_j})^2.
 
@@ -99,7 +127,10 @@ def _corrected_combo(terms, eps, margin):
 
 @dataclass
 class GibbsSystem:
-    """Exact joint measure over (sigma, leaf) at interpolation time t."""
+    """Exact joint measure over (sigma, leaf) at interpolation time t.
+
+    ``at`` reads the same disorder draw at another time.
+    """
 
     N: int
     t: float
@@ -107,8 +138,24 @@ class GibbsSystem:
     mixture: MixtureFunction
     table: HamiltonianTable
     cascade: Cascade
-    gamma: np.ndarray  # (2^N, b^k), normalized
-    log_norm: float
+    tilt: np.ndarray  # (2^N, b^k), sigma . s^alpha
+    gamma: np.ndarray = field(init=False)  # (2^N, b^k), normalized
+    log_norm: float = field(init=False)
+
+    def __post_init__(self):
+        expo = (
+            np.sqrt(self.t) * self.table.values[:, None]
+            + np.sqrt(1.0 - self.t) * self.tilt
+            + self.h * spin_sums(self.N)[:, None]
+            + np.log(self.cascade.leaf_weights_flat())[None, :]
+        )
+        self.gamma, self.log_norm = _gibbs_weights(
+            expo, "joint weights failed to normalize"
+        )
+
+    def at(self, t: float) -> "GibbsSystem":
+        """The same disorder draw enumerated at time t."""
+        return replace(self, t=t)
 
     @property
     def rsb(self) -> RSBParams:
@@ -155,8 +202,7 @@ class GibbsSystem:
         rho, se = self._tilt_statistics()
 
         def shift(e, p):
-            e_f = e * p / (1.0 - e + e * p)
-            return np.log((1.0 - e) / (1.0 - e_f))
+            return np.log((1.0 - e) / (1.0 - _tilted_loss(e, p)))
 
         center = shift(eps, rho)
         worst = max(
@@ -176,7 +222,7 @@ class GibbsSystem:
         eps = self.cascade.cumulative_losses()
         rho, se = self._tilt_statistics()
         spread = 3.0 * se / rho if rho > 0 else 0.0
-        eps_f = eps * rho / (1.0 - eps + eps * rho)
+        eps_f = _tilted_loss(eps, rho)
         deep = 1.0 - (1.0 - eps_f[-1]) / (1.0 - eps_f)
         margin = eps_f * (TAIL_ACCURACY + spread) + TAIL_ACCURACY * deep
         margin[0] = 0.0
@@ -209,45 +255,34 @@ def build_system(
 ) -> GibbsSystem:
     """Enumerate Gamma{(sigma, alpha)} for one disorder realization."""
     _check_joint_budget(N, rsb, b, t)
-    base = stream_key(seed)
-    cascade = build_cascade(rsb, b, base)
-    fields = attach_fields(b, mixture, rsb, N, base).all_fields()
-    table = sample_hamiltonian(N, mixture, derive_rng(*base, MODULE_SK))
-
-    spins = spin_matrix(N)
-    expo = (
-        np.sqrt(t) * table.values[:, None]
-        + np.sqrt(1.0 - t) * (spins @ fields.T)
-        + h * spin_sums(N)[:, None]
-        + np.log(cascade.leaf_weights_flat())[None, :]
-    )
-    log_norm = float(logsumexp(expo))
-    gamma = np.exp(expo - log_norm)
-    system = GibbsSystem(
+    cascade, fields, table = _sample_disorder(N, mixture, rsb, rsb, b, seed)
+    return GibbsSystem(
         N=N,
         t=t,
         h=h,
         mixture=mixture,
         table=table,
         cascade=cascade,
-        gamma=gamma,
-        log_norm=log_norm,
+        tilt=spin_matrix(N) @ fields.all_fields().T,
     )
-    if system.normalization_error() > NORMALIZATION_TOL:
-        raise AssertionError("joint weights failed to normalize")
-    return system
 
 
-def _phi_chunk(args, master, start, stop):
-    N, t, mixture, rsb, b, h = args
-    out = np.empty((stop - start, 2))
+def _system_chunk(args, master, start, stop):
+    """``read(system)`` for each replica's system, one row per replica.
+
+    ``read`` is a module-level function or a ``partial`` of one, so the
+    chunk pickles for the process pool.
+    """
+    op, read, N, t, mixture, rsb, b, h = args
+    rows = []
     for rep in range(start, stop):
-        system = build_system(
-            N, t, mixture, rsb, b, h, (master, MODULE_INTERP, _OP_PHI, rep)
-        )
-        out[rep - start, 0] = system.phi_value()
-        out[rep - start, 1] = system.phi_allowance()
-    return out
+        seed = (master, MODULE_INTERP, op, rep)
+        rows.append(read(build_system(N, t, mixture, rsb, b, h, seed)))
+    return np.array(rows, dtype=float)
+
+
+def _read_phi(system: GibbsSystem):
+    return system.phi_value(), system.phi_allowance()
 
 
 def phi_t(
@@ -263,7 +298,8 @@ def phi_t(
     """Monte Carlo over disorder of the exact inner log-sum."""
     _check_joint_budget(N, rsb, b, t)
     rsb.requires_simulable()
-    vals = run_replicas(_phi_chunk, (N, t, mixture, rsb, b, h), seed, disorder_replicas)
+    args = (_OP_PHI, _read_phi, N, t, mixture, rsb, b, h)
+    vals = run_replicas(_system_chunk, args, seed, disorder_replicas)
     return Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
 
 
@@ -314,19 +350,15 @@ class DerivativeReport:
     record: CheckRecord
 
 
-def _derivative_chunk(args, master, start, stop):
-    N, t, step, mixture, rsb, b, h = args
-    out = np.empty((stop - start, 3))
-    for rep in range(start, stop):
-        base = (master, MODULE_INTERP, _OP_DERIVATIVE, rep)
-        # Common random numbers: the same base tuple reproduces the same
-        # cascade, fields and Hamiltonian at all three times.
-        lo = build_system(N, t - step, mixture, rsb, b, h, base)
-        hi = build_system(N, t + step, mixture, rsb, b, h, base)
-        mid = build_system(N, t, mixture, rsb, b, h, base)
-        out[rep - start, 0] = (hi.log_norm - lo.log_norm) / (2.0 * step * N)
-        out[rep - start, 1:] = _pair_terms(mid)
-    return out
+def _read_derivative(step: float, system: GibbsSystem):
+    """Central difference of log Z / N and the two pair terms at t.
+
+    Common random numbers: all three times read the one disorder draw.
+    """
+    lo = system.at(system.t - step)
+    hi = system.at(system.t + step)
+    numeric = (hi.log_norm - lo.log_norm) / (2.0 * step * system.N)
+    return (numeric, *_pair_terms(system))
 
 
 def derivative_check(
@@ -345,9 +377,8 @@ def derivative_check(
         raise ValueError(f"t = {t} outside [{step}, {1.0 - step}]")
     _check_joint_budget(N, rsb, b, t)
     rsb.requires_simulable()
-    vals = run_replicas(
-        _derivative_chunk, (N, t, step, mixture, rsb, b, h), seed, replicas
-    )
+    args = (_OP_DERIVATIVE, partial(_read_derivative, step), N, t, mixture, rsb, b, h)
+    vals = run_replicas(_system_chunk, args, seed, replicas)
     constant = -0.5 * theta(mixture, 1.0)
     numeric = Estimate.from_values(vals[:, 0])
     theta_term = Estimate.from_values(0.5 * vals[:, 1])
@@ -378,17 +409,6 @@ def derivative_check(
     )
 
 
-def _mass_chunk(args, master, start, stop):
-    N, t, mixture, rsb, b, h = args
-    out = np.empty((stop - start, rsb.k + 1, 2))
-    for rep in range(start, stop):
-        system = build_system(
-            N, t, mixture, rsb, b, h, (master, MODULE_INTERP, _OP_MASS, rep)
-        )
-        out[rep - start] = system.wedge_masses()
-    return out
-
-
 def gibbs_overlap_mass(
     N: int,
     t: float,
@@ -405,7 +425,8 @@ def gibbs_overlap_mass(
     """
     _check_joint_budget(N, rsb, b, t)
     rsb.requires_simulable()
-    vals = run_replicas(_mass_chunk, (N, t, mixture, rsb, b, h), seed, replicas)
+    args = (_OP_MASS, GibbsSystem.wedge_masses, N, t, mixture, rsb, b, h)
+    vals = run_replicas(_system_chunk, args, seed, replicas)
     return [
         Estimate.from_values(vals[:, j, 0], allowance=float(vals[:, j, 1].mean()))
         for j in range(rsb.k + 1)
@@ -492,7 +513,7 @@ class CoupledGibbsSystem:
         f = a / w
         rho = float(f.mean())
         eps = float(self.cascade.cumulative_losses()[-1])
-        eps_f = eps * rho / (1.0 - eps + eps * rho)
+        eps_f = _tilted_loss(eps, rho)
         leaf_means = (self.gamma * dvals[:, :, None]).sum(axis=(0, 1)) / a
         blocks = leaf_means.reshape(self.cascade.b, -1).mean(axis=1)
         allowance = eps_f * (
@@ -533,10 +554,9 @@ def build_coupled_system(
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t = {t} outside [0, 1]")
 
-    base = stream_key(seed)
-    cascade = build_cascade(coupled_n_sequence(rsb, r), b, base)
-    table = sample_hamiltonian(N, mixture, derive_rng(*base, MODULE_SK))
-    fields = attach_fields(b, mixture, rsb, N, base)
+    cascade, fields, table = _sample_disorder(
+        N, mixture, rsb, coupled_n_sequence(rsb, r), b, seed
+    )
 
     spins = spin_matrix(N)
     single = np.sqrt(t) * table.values + h * spin_sums(N)
@@ -549,9 +569,8 @@ def build_coupled_system(
         + tilt2[None, :, :]
         + np.log(cascade.leaf_weights_flat())[None, None, :]
     )
-    log_norm = float(logsumexp(expo))
-    gamma = np.exp(expo - log_norm)
-    system = CoupledGibbsSystem(
+    gamma, log_norm = _gibbs_weights(expo, "coupled weights failed to normalize")
+    return CoupledGibbsSystem(
         N=N,
         t=t,
         r=r,
@@ -562,20 +581,6 @@ def build_coupled_system(
         gamma=gamma,
         log_norm=log_norm,
     )
-    if system.normalization_error() > NORMALIZATION_TOL:
-        raise AssertionError("coupled weights failed to normalize")
-    return system
-
-
-def _error_plain_chunk(args, master, start, stop):
-    N, t, r, mixture, rsb, b, h = args
-    out = np.empty((stop - start, 2))
-    for rep in range(start, stop):
-        system = build_system(
-            N, t, mixture, rsb, b, h, (master, MODULE_INTERP, _OP_ERROR_PLAIN, rep)
-        )
-        out[rep - start] = _restricted_delta(system, r)
-    return out
 
 
 def _error_coupled_chunk(args, master, start, stop):
@@ -623,9 +628,8 @@ def error_term_check(
         raise ValueError(f"r outside 1..{rsb.k}")
     rsb.requires_simulable()
     gap = rsb.m[r] - rsb.m[r - 1]
-    plain = run_replicas(
-        _error_plain_chunk, (N, t, r, mixture, rsb, b, h), seed, replicas
-    )
+    args = (_OP_ERROR_PLAIN, partial(_restricted_delta, r=r), N, t, mixture, rsb, b, h)
+    plain = run_replicas(_system_chunk, args, seed, replicas)
     coupled = run_replicas(
         _error_coupled_chunk, (N, t, r, mixture, rsb, b, h), seed, replicas
     )

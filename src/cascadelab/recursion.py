@@ -101,10 +101,7 @@ class TabulatedFunction:
 @dataclass
 class RecursionResult:
     phi0: float
-    level_functions: list
-    variances: np.ndarray
     converged: bool
-    nodes: int
     doubling_diff: float
 
 
@@ -144,16 +141,12 @@ def _phi0_once(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
     quad = QuadratureSpec(nodes_per_level=nodes, convergence_check=False)
     x, v = _grid_for(rsb, mix, h, nodes)
     g = TabulatedFunction(x, log2cosh(x + h))
-    funcs = [g]
     for level in range(rsb.k, 0, -1):
         g = smoothing_step(g, rsb.m[level], float(v[level]), quad)
-        funcs.append(g)
     if v[0] == 0.0:
-        val = float(g(0.0))
-    else:
-        z, w = gauss_hermite(nodes)
-        val = float(g(math.sqrt(float(v[0])) * z) @ w)
-    return val, funcs, v
+        return float(g(0.0))
+    z, w = gauss_hermite(nodes)
+    return float(g(math.sqrt(float(v[0])) * z) @ w)
 
 
 def phi0(
@@ -165,19 +158,16 @@ def phi0(
     with variances xi'(q_{l+1}) - xi'(q_l), and closes with a plain
     Gaussian expectation of variance xi'(q_1).  m_k = 1 is legal here.
     """
-    val, funcs, v = _phi0_once(rsb, mix, h, quad.nodes_per_level)
+    val = _phi0_once(rsb, mix, h, quad.nodes_per_level)
     diff = 0.0
     converged = True
     if quad.convergence_check:
-        val2, _, _ = _phi0_once(rsb, mix, h, 2 * quad.nodes_per_level)
+        val2 = _phi0_once(rsb, mix, h, 2 * quad.nodes_per_level)
         diff = abs(val2 - val)
         converged = diff < 1e-7
     return RecursionResult(
         phi0=val,
-        level_functions=funcs,
-        variances=v,
         converged=converged,
-        nodes=quad.nodes_per_level,
         doubling_diff=diff,
     )
 
@@ -379,6 +369,54 @@ def _lse_contract(arr, m, axes, weights, ndim):
     return (amax + np.log(s)) / m
 
 
+def _chain(x, m, level_axes, w, ndim):
+    """The level chain [X_0, ..., X_k] from X_k = x, keeping dims.
+
+    X_{l-1} = (1/m_l) log E_l exp(m_l X_l), where E_l contracts the
+    axes ``level_axes[l]``; a level with no axes passes X_l through
+    unchanged.  ``m[l]`` is the level-l exponent, l = 1..k.
+    """
+    xs = [x]
+    for level in range(len(level_axes), 0, -1):
+        axes = level_axes[level]
+        if axes:
+            xs.append(_lse_contract(xs[-1], m[level], axes, w, ndim))
+        else:
+            xs.append(xs[-1])
+    return xs[::-1]
+
+
+def _chain_weights(xs, m):
+    """W_l = exp(m_l (X_l - X_{l-1})) for l = 1..k, entry l-1."""
+    return [
+        np.exp(m[level] * (xs[level] - xs[level - 1]))
+        for level in range(1, len(xs))
+    ]
+
+
+def _grid_nodes(quad: QuadratureSpec, ndim: int):
+    """Gauss-Hermite nodes and weights for a tensor grid of ndim axes."""
+    if quad.nodes_per_level**ndim > TENSOR_BUDGET:
+        raise ValueError("tensor grid exceeds the quadrature budget")
+    return gauss_hermite(quad.nodes_per_level)
+
+
+def _path_grid(x_fn: PathFunctional, tau, z, ndim: int, mark_axes):
+    """One path on a tensor grid of ndim axes: (marks, X_k, level axes).
+
+    The level-l mark lies on axis ``mark_axes[l-1]`` with standard
+    deviation tau[l-1]; the level axes are the ones ``_chain`` contracts.
+    """
+    n = z.size
+    marks = [
+        (tau[ell] * z).reshape(_axis_shape(ndim, axis, n))
+        for ell, axis in enumerate(mark_axes)
+    ]
+    x = np.broadcast_to(np.asarray(x_fn(marks), dtype=float), (n,) * ndim).copy()
+    level_axes = {ell + 1: [axis] for ell, axis in enumerate(mark_axes)}
+    return marks, x, level_axes
+
+
 def mark_chain_root(
     x_fn: PathFunctional, rsb: RSBParams, tau, quad: QuadratureSpec
 ) -> float:
@@ -390,31 +428,9 @@ def mark_chain_root(
     cascade's log-partition identity.
     """
     k = rsb.k
-    n = quad.nodes_per_level
-    if n**k > TENSOR_BUDGET:
-        raise ValueError("tensor grid exceeds the quadrature budget")
-    z, w = gauss_hermite(n)
-    marks = [
-        (tau[ell] * z).reshape(_axis_shape(k, ell, n)) for ell in range(k)
-    ]
-    x = np.asarray(x_fn(marks), dtype=float)
-    x = np.broadcast_to(x, (n,) * k).copy()
-    for level in range(k, 0, -1):
-        x = _lse_contract(x, rsb.m[level], [level - 1], w, k)
-    return float(x.squeeze())
-
-
-def _mark_chain_weights(x, rsb, w, ndim, level_axes):
-    """Chain the X_l with keepdims and return the W_l arrays, l = 1..k."""
-    xs = {rsb.k: x}
-    for level in range(rsb.k, 0, -1):
-        xs[level - 1] = _lse_contract(
-            xs[level], rsb.m[level], level_axes[level], w, ndim
-        )
-    return [
-        np.exp(rsb.m[level] * (xs[level] - xs[level - 1]))
-        for level in range(1, rsb.k + 1)
-    ]
+    z, w = _grid_nodes(quad, k)
+    _, x, level_axes = _path_grid(x_fn, tau, z, k, range(k))
+    return float(_chain(x, rsb.m, level_axes, w, k)[0].squeeze())
 
 
 def mark_chain_tilted(
@@ -426,16 +442,9 @@ def mark_chain_tilted(
 ) -> float:
     """E prod_l W_l Y along one path, by full tensor contraction."""
     k = rsb.k
-    n = quad.nodes_per_level
-    if n**k > TENSOR_BUDGET:
-        raise ValueError("tensor grid exceeds the quadrature budget")
-    z, w = gauss_hermite(n)
-    marks = [
-        (tau[ell] * z).reshape(_axis_shape(k, ell, n)) for ell in range(k)
-    ]
-    x = np.broadcast_to(np.asarray(x_fn(marks), dtype=float), (n,) * k).copy()
-    level_axes = {level: [level - 1] for level in range(1, k + 1)}
-    ws = _mark_chain_weights(x, rsb, w, k, level_axes)
+    z, w = _grid_nodes(quad, k)
+    marks, x, level_axes = _path_grid(x_fn, tau, z, k, range(k))
+    ws = _chain_weights(_chain(x, rsb.m, level_axes, w, k), rsb.m)
     integrand = np.asarray(y_fn(marks), dtype=float)
     for wl in ws:
         integrand = integrand * wl
@@ -458,33 +467,21 @@ def mark_chain_restricted(
     k = rsb.k
     if not 1 <= r <= k:
         raise ValueError(f"r = {r} outside 1..{k}")
-    n = quad.nodes_per_level
     ndim = (r - 1) + 2 * (k - r + 1)
-    if n**ndim > TENSOR_BUDGET:
-        raise ValueError("tensor grid exceeds the quadrature budget")
-    z, w = gauss_hermite(n)
+    z, w = _grid_nodes(quad, ndim)
 
-    def axis_of(level, copy):
+    def mark_axes(copy):
         # levels 1..r-1 shared, then copy-a block, then copy-b block
-        if level < r:
-            return level - 1
         base = (r - 1) + (0 if copy == 0 else k - r + 1)
-        return base + (level - r)
+        return [
+            level - 1 if level < r else base + (level - r)
+            for level in range(1, k + 1)
+        ]
 
-    marks_a = [
-        (tau[ell] * z).reshape(_axis_shape(ndim, axis_of(ell + 1, 0), n))
-        for ell in range(k)
-    ]
-    marks_b = [
-        (tau[ell] * z).reshape(_axis_shape(ndim, axis_of(ell + 1, 1), n))
-        for ell in range(k)
-    ]
-    xa = np.broadcast_to(np.asarray(x_fn(marks_a), float), (n,) * ndim).copy()
-    xb = np.broadcast_to(np.asarray(x_fn(marks_b), float), (n,) * ndim).copy()
-    axes_a = {level: [axis_of(level, 0)] for level in range(1, k + 1)}
-    axes_b = {level: [axis_of(level, 1)] for level in range(1, k + 1)}
-    ws_a = _mark_chain_weights(xa, rsb, w, ndim, axes_a)
-    ws_b = _mark_chain_weights(xb, rsb, w, ndim, axes_b)
+    marks_a, xa, axes_a = _path_grid(x_fn, tau, z, ndim, mark_axes(0))
+    marks_b, xb, axes_b = _path_grid(x_fn, tau, z, ndim, mark_axes(1))
+    ws_a = _chain_weights(_chain(xa, rsb.m, axes_a, w, ndim), rsb.m)
+    ws_b = _chain_weights(_chain(xb, rsb.m, axes_b, w, ndim), rsb.m)
     integrand = y_pair.combine(
         np.asarray(y_pair.base(marks_a), float),
         np.asarray(y_pair.base(marks_b), float),
@@ -508,8 +505,6 @@ class MuQuadResult:
     value: float
     value_v_form: float
     chain_max_diff: float
-    dims: int
-    nodes: int
 
 
 def mu_r_quadrature(
@@ -531,7 +526,7 @@ def mu_r_quadrature(
     product-of-W form, the V-chain form with halved exponents below r,
     and their pointwise agreement.
     """
-    from .sk_model import monomial_signs, monomial_variances
+    from .sk_model import monomial_signs, monomial_variances, spin_matrix
 
     if not 1 <= N <= 2:
         raise ValueError("the coupled quadrature supports N in {1, 2}")
@@ -581,9 +576,7 @@ def mu_r_quadrature(
         else:
             h_axes[a] = idx
 
-    sigmas = [
-        np.array([1 - 2 * ((s >> i) & 1) for i in range(N)]) for s in range(2**N)
-    ]
+    sigmas = spin_matrix(N)
     signs = monomial_signs(N, masks)
 
     def field_sum(site, copy):
@@ -641,23 +634,11 @@ def mu_r_quadrature(
             out[level] = ax
         return out
 
-    ws = {}
-    xs = {}
-    for copy in (0, 1):
-        ax_map = level_axes(copy)
-        chain = {k: xk[copy]}
-        for level in range(k, 0, -1):
-            if ax_map[level]:
-                chain[level - 1] = _lse_contract(
-                    chain[level], rsb.m[level], ax_map[level], w, ndim
-                )
-            else:
-                chain[level - 1] = chain[level]
-        xs[copy] = chain
-        ws[copy] = {
-            level: np.exp(rsb.m[level] * (chain[level] - chain[level - 1]))
-            for level in range(1, k + 1)
-        }
+    copy_axes = {copy: level_axes(copy) for copy in (0, 1)}
+    ws = {
+        copy: _chain_weights(_chain(xk[copy], rsb.m, copy_axes[copy], w, ndim), rsb.m)
+        for copy in (0, 1)
+    }
 
     # Gibbs average of f over the product measure of the two copies
     fbar = 0.0
@@ -671,30 +652,26 @@ def mu_r_quadrature(
 
     integrand = np.asarray(fbar, dtype=float) + 0.0
     for level in range(1, k + 1):
-        integrand = integrand * ws[0][level]
+        integrand = integrand * ws[0][level - 1]
         if level >= r:
-            integrand = integrand * ws[1][level]
+            integrand = integrand * ws[1][level - 1]
     mu_w = float(_weighted_sum(integrand, list(range(ndim)), w, ndim).squeeze())
 
     # V-chain with exponents n_l = m_l / 2 below the split level
-    y = {k: xk[0] + xk[1]}
     n_seq = {
         level: (rsb.m[level] / 2.0 if level < r else rsb.m[level])
         for level in range(1, k + 1)
     }
-    ax0 = level_axes(0)
-    ax1 = level_axes(1)
-    for level in range(k, 0, -1):
-        joint = sorted(set(ax0[level]) | set(ax1[level]))
-        if joint:
-            y[level - 1] = _lse_contract(y[level], n_seq[level], joint, w, ndim)
-        else:
-            y[level - 1] = y[level]
+    joint = {
+        level: sorted(set(copy_axes[0][level]) | set(copy_axes[1][level]))
+        for level in range(1, k + 1)
+    }
+    vs = _chain_weights(_chain(xk[0] + xk[1], n_seq, joint, w, ndim), n_seq)
     max_diff = 0.0
     integrand_v = np.asarray(fbar, dtype=float) + 0.0
     for level in range(1, k + 1):
-        vl = np.exp(n_seq[level] * (y[level] - y[level - 1]))
-        ref = ws[0][level] * ws[1][level] if level >= r else ws[0][level]
+        vl = vs[level - 1]
+        ref = ws[0][level - 1] * ws[1][level - 1] if level >= r else ws[0][level - 1]
         max_diff = max(max_diff, float(np.abs(vl - ref).max()))
         integrand_v = integrand_v * vl
     mu_v = float(_weighted_sum(integrand_v, list(range(ndim)), w, ndim).squeeze())
@@ -703,6 +680,4 @@ def mu_r_quadrature(
         value=mu_w,
         value_v_form=mu_v,
         chain_max_diff=max_diff,
-        dims=ndim,
-        nodes=n,
     )

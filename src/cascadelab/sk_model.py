@@ -135,17 +135,13 @@ def covariance_exact(N: int, mix: MixtureFunction, sigma1, sigma2) -> float:
 
 def _covariance_chunk(args, master, start, stop):
     N, mixture, sigma1, sigma2 = args
-    variances = monomial_variances(N, mixture)
-    masks = tuple(sorted(variances))
-    stds = np.sqrt([variances[m] for m in masks])
-    signs = monomial_signs(N, masks)
     idx1 = _config_index(sigma1)
     idx2 = _config_index(sigma2)
     out = np.empty(stop - start)
     for rep in range(start, stop):
         rng = derive_rng(master, MODULE_SK, rep)
-        coef = rng.standard_normal(len(masks)) * stds
-        out[rep - start] = float((signs[idx1] @ coef) * (signs[idx2] @ coef))
+        values = sample_hamiltonian(N, mixture, rng).values
+        out[rep - start] = values[idx1] * values[idx2]
     return out
 
 

@@ -139,6 +139,18 @@ def test_field_covariance_matches_xi_prime():
     assert rec.passed, (est.mean, est.std_error)
 
 
+def test_field_covariance_rejects_bad_sites():
+    # a negative index would read a site from the end; one past N would
+    # fail only inside a replica chunk
+    mix = make_mixture([(2, 0.8), (4, 0.4)])
+    with pytest.raises(ValueError, match="site indices"):
+        field_covariance(RSB2, mix, 2, 4, (0, 1), (0, 1), -1, -1, 20, 3)
+    with pytest.raises(ValueError, match="site indices"):
+        field_covariance(RSB2, mix, 2, 4, (0, 1), (0, 1), 2, 2, 20, 3)
+    with pytest.raises(ValueError, match="site indices"):
+        field_covariance(RSB2, mix, 2, 4, (0, 1), (0, 1), 0, 2, 20, 3)
+
+
 def test_field_covariance_rejects_linear_term():
     # xi'(0) > 0 has no root column to carry it: the estimate would miss
     # xi'(1) by many standard errors instead of failing loudly.

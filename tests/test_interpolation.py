@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from cascadelab import interpolation
 from cascadelab.interpolation import (
+    _OP_DERIVATIVE,
+    MODULE_INTERP,
+    _pair_terms,
     build_coupled_system,
     build_system,
     coupled_n_sequence,
@@ -17,7 +21,7 @@ from cascadelab.interpolation import (
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import QuadratureSpec, phi0
 from cascadelab.sk_model import exact_free_energy
-from cascadelab.stats import Exact, identity_check
+from cascadelab.stats import Estimate, Exact, identity_check
 
 LOG2COSH_HALF = math.log(2.0 * math.cosh(0.5))
 QUAD = QuadratureSpec(nodes_per_level=40)
@@ -92,6 +96,66 @@ def test_derivative_identity_small():
     bound_side = report.constant_term + report.theta_term.mean
     assert bound_side >= report.formula.mean - 3.0 * report.delta_term.std_error
     assert report.constant_term == pytest.approx(-0.125 / 2.0, rel=1e-12)
+
+
+def test_system_at_matches_fresh_build():
+    mix, seed, t, step = sk_mixture(0.6), (31, MODULE_INTERP, 2, 5), 0.5, 0.02
+    system = build_system(3, t, mix, RSB2, 12, 0.3, seed)
+    for t2 in (0.0, t - step, t + step, 1.0):
+        moved = system.at(t2)
+        fresh = build_system(3, t2, mix, RSB2, 12, 0.3, seed)
+        assert moved.t == t2
+        assert moved.log_norm == fresh.log_norm
+        assert np.array_equal(moved.gamma, fresh.gamma)
+
+
+def _oracle_derivative_values(N, t, step, mix, rsb, b, h, replicas, seed):
+    # the three independent builds per replica that one draw replaced
+    vals = np.empty((replicas, 3))
+    for rep in range(replicas):
+        base = (seed, MODULE_INTERP, _OP_DERIVATIVE, rep)
+        lo = build_system(N, t - step, mix, rsb, b, h, base)
+        hi = build_system(N, t + step, mix, rsb, b, h, base)
+        mid = build_system(N, t, mix, rsb, b, h, base)
+        vals[rep, 0] = (hi.log_norm - lo.log_norm) / (2.0 * step * N)
+        vals[rep, 1:] = _pair_terms(mid)
+    return vals
+
+
+def test_derivative_matches_three_build_oracle():
+    mix, step = sk_mixture(0.5), 0.02
+    report = derivative_check(2, 0.4, mix, RSB2, 10, 0.3, 40, seed=11)
+    vals = _oracle_derivative_values(2, 0.4, step, mix, RSB2, 10, 0.3, 40, 11)
+    assert report.numeric == Estimate.from_values(vals[:, 0])
+    assert report.theta_term == Estimate.from_values(0.5 * vals[:, 1])
+    assert report.delta_term == Estimate.from_values(0.5 * vals[:, 2])
+    constant = report.constant_term
+    assert report.formula == Estimate.from_values(
+        constant + 0.5 * vals[:, 1] - 0.5 * vals[:, 2]
+    )
+
+
+def test_derivative_samples_each_replica_once(monkeypatch):
+    calls = []
+    original = interpolation.build_cascade
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interpolation, "build_cascade", counted)
+    derivative_check(2, 0.5, sk_mixture(0.5), RSB1, 10, 0.3, 12, seed=3)
+    assert len(calls) == 12
+
+
+def test_gibbs_overlap_mass_same_across_workers(monkeypatch):
+    # 300 replicas span two chunks, so two workers pickle the read function
+    mix = sk_mixture(0.5)
+    out = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("CASCADELAB_WORKERS", workers)
+        out[workers] = gibbs_overlap_mass(2, 0.6, mix, RSB2, 8, 0.3, 300, seed=19)
+    assert out["1"] == out["2"]
 
 
 def test_derivative_rejects_edge_times():

@@ -10,6 +10,9 @@ from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import (
     QuadratureSpec,
     TabulatedFunction,
+    _chain,
+    _chain_weights,
+    _lse_contract,
     gauss_hermite,
     guerra_bound,
     mu_r_quadrature,
@@ -214,3 +217,55 @@ def test_gauss_hermite_cached_and_read_only():
         z[0] = 0.0
     with pytest.raises(ValueError):
         w *= 2.0
+
+
+# The oracles are the inline loops that ``_chain`` and ``_chain_weights``
+# replaced: the mark-chain loop, which contracts every level, and the
+# per-copy loop of ``mu_r_quadrature``, which passes a level with no axes
+# through unchanged.
+
+
+def _oracle_mark_chain(x, m, level_axes, w, ndim):
+    k = len(level_axes)
+    xs = {k: x}
+    for level in range(k, 0, -1):
+        xs[level - 1] = _lse_contract(xs[level], m[level], level_axes[level], w, ndim)
+    ws = [np.exp(m[level] * (xs[level] - xs[level - 1])) for level in range(1, k + 1)]
+    return [xs[level] for level in range(k + 1)], ws
+
+
+def _oracle_copy_chain(x, m, level_axes, w, ndim):
+    k = len(level_axes)
+    chain = {k: x}
+    for level in range(k, 0, -1):
+        if level_axes[level]:
+            chain[level - 1] = _lse_contract(
+                chain[level], m[level], level_axes[level], w, ndim
+            )
+        else:
+            chain[level - 1] = chain[level]
+    ws = [np.exp(m[level] * (chain[level] - chain[level - 1])) for level in range(1, k + 1)]
+    return [chain[level] for level in range(k + 1)], ws
+
+
+def test_chain_matches_inline_loops():
+    _, w = gauss_hermite(6)
+    x = np.random.default_rng(5).standard_normal((6, 6, 6))
+    m = (0.0, 0.35, 0.8)
+    halved = {1: 0.175, 2: 0.8}
+    cases = [
+        (_oracle_mark_chain, m, {1: [0], 2: [1]}),
+        (_oracle_copy_chain, m, {1: [0], 2: [1, 2]}),
+        (_oracle_copy_chain, halved, {1: [], 2: [0, 2]}),
+        (_oracle_copy_chain, m, {1: [2], 2: []}),
+    ]
+    for oracle, exponents, level_axes in cases:
+        xs = _chain(x, exponents, level_axes, w, 3)
+        want_xs, want_ws = oracle(x, exponents, level_axes, w, 3)
+        assert len(xs) == 3
+        for got, want in zip(xs, want_xs):
+            assert np.array_equal(got, want)
+        ws = _chain_weights(xs, exponents)
+        assert len(ws) == 2
+        for got, want in zip(ws, want_ws):
+            assert np.array_equal(got, want)
