@@ -38,6 +38,7 @@ from .cascade import (
 )
 from .functionals import PairFunctional, PathFunctional
 from .interpolation import (
+    MAX_COUPLED_SITES,
     derivative_check,
     error_term_check,
     gibbs_overlap_mass,
@@ -52,6 +53,7 @@ from .pd_process import (
 )
 from .recursion import (
     QuadratureSpec,
+    bound_from_phi0,
     guerra_bound,
     mu_r_quadrature,
     optimize_bound,
@@ -292,6 +294,10 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> RunCon
         for key, val in source.items():
             values[key] = _validated(key, val)
             explicit.add(key)
+    if command == "interpolate" and values["check"] == "error-term" and "N" not in explicit:
+        # The coupled system behind the error term holds at most
+        # MAX_COUPLED_SITES sites, fewer than the default N.
+        values["N"] = MAX_COUPLED_SITES
     return RunConfig(command=command, explicit=frozenset(explicit), values=values)
 
 
@@ -461,10 +467,9 @@ def cmd_bound(cfg: RunConfig):
             'pass --m with last entry 1.0, e.g. --m "[1.0]" --q "[0.5]"'
         )
     res = phi0(rsb, mix, cfg.h, quad)
-    value = guerra_bound(rsb, mix, cfg.h, quad)
     result = {
         "phi0": res.phi0,
-        "bound": value,
+        "bound": bound_from_phi0(rsb, mix, res.phi0),
         "params": {"m": list(rsb.m), "q": list(rsb.q)},
         "quad_nodes": cfg.nodes,
         "converged": res.converged,
@@ -477,14 +482,15 @@ def cmd_optimize(cfg: RunConfig):
         raise ConfigError("optimize needs k, the number of levels")
     mix = cfg.mixture_fn()
     opt = optimize_bound(mix, cfg.h, cfg.k, cfg.quad())
-    res = phi0(opt.params, mix, cfg.h, cfg.quad(convergence_check=False))
     result = {
-        "phi0": res.phi0,
+        "phi0": opt.phi0,
         "bound": opt.value,
         "params": {"m": list(opt.params.m), "q": list(opt.params.q)},
         "quad_nodes": cfg.nodes,
         "converged": opt.converged,
         "evaluations": opt.evaluations,
+        "restart_values": opt.restart_values,
+        "restart_spread": opt.restart_spread,
     }
     return [], result, None
 
@@ -528,7 +534,7 @@ def cmd_interpolate(cfg: RunConfig):
     rsb = cfg.rsb_params()
     records, series = [], None
     if cfg.check == "phi":
-        reference = phi0(rsb, mix, cfg.h, cfg.quad())
+        reference = phi0(rsb, mix, cfg.h, cfg.quad(convergence_check=False))
         est0 = phi_t(cfg.N, 0.0, mix, rsb, cfg.b, cfg.h, cfg.replicas, child_seed(cfg.seed, 60))
         records.append(
             identity_check("phi_t0_vs_quadrature", est0, Exact(reference.phi0), cfg.tolerance)
@@ -631,8 +637,9 @@ def cmd_verify_all(cfg: RunConfig):
             identity_check(f"overlap_mass_r{r}", estimates[r - 1], Exact(masses[r - 1]), tol)
         )
 
-    # Recursion chain vs direct cascade simulation.
-    quad = QuadratureSpec(nodes_per_level=n(40, 24))
+    # Recursion chain vs direct cascade simulation.  No record reads a
+    # convergence flag, so the quadrature runs at one node count.
+    quad = QuadratureSpec(nodes_per_level=n(40, 24), convergence_check=False)
     rsb1 = RSBParams.from_interior((0.5,), (0.5,))
     x_log = PathFunctional("logcosh_sum", scale=1.2)
     est, reference = log_partition_identity(

@@ -6,7 +6,9 @@ One operator drives this module:
 
 with the m = 0 limit a plain expectation and m = 1 a log-mean-exp.
 Applying it level by level from g(x) = log 2 cosh(x + h) gives the
-decoupled per-site value phi(0); combining phi(0) with the theta terms
+decoupled per-site value phi(0), computed either as the level chain on a
+tensor grid of the k+1 Gaussian columns or, on grids too large for that,
+on a tabulated function of x; combining phi(0) with the theta terms
 gives the k-step upper bound on the free energy; differentiating the
 same chain gives the change-of-density weights W_l whose products define
 the tilted two-replica averages, evaluated here by tensor-product
@@ -34,6 +36,13 @@ from .mixture import (
 )
 
 TENSOR_BUDGET = 10**7
+# Largest Gauss-Hermite grid, nodes**(k+1) points, on which phi0 contracts
+# the level chain directly; larger grids take the spline recursion.  Over
+# two timing runs on a 2-core Xeon the routes cost the same at k = 3
+# between 28 and 30 nodes (610,000-810,000 points): 12-19 ms against
+# 17-20 ms at 28 nodes, 23-40 ms against 18-23 ms at 31-32.  Within the
+# budget at k <= 2 the tensor route is 4-250x faster.
+PHI0_TENSOR_BUDGET = 800_000
 GRID_DX = 0.02
 GRID_PAD = 6.0
 
@@ -137,6 +146,26 @@ def _grid_for(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
     return np.linspace(-half, half, n), v
 
 
+def _phi0_tensor(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
+    """phi(0) as the root X_0 of the level chain on a (k+1)-axis grid.
+
+    Axis l carries the level-l column sqrt(v_l) z_l, so X_k =
+    log 2cosh(h + sum_l sqrt(v_l) z_l); ``_chain`` contracts axes k..1
+    with m_k..m_1 and axis 0 takes a plain Gauss-Hermite mean.
+    """
+    ndim = rsb.k + 1
+    v = np.maximum(rsb.variances(mix), 0.0)
+    z, w = gauss_hermite(nodes)
+    field = h
+    for level in range(ndim):
+        field = field + (math.sqrt(float(v[level])) * z).reshape(
+            _axis_shape(ndim, level, nodes)
+        )
+    level_axes = {level: [level] for level in range(1, ndim)}
+    x0 = _chain(log2cosh(field), rsb.m, level_axes, w, ndim)[0]
+    return float(_weighted_sum(x0, [0], w, ndim).squeeze())
+
+
 def _phi0_once(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
     quad = QuadratureSpec(nodes_per_level=nodes, convergence_check=False)
     x, v = _grid_for(rsb, mix, h, nodes)
@@ -149,6 +178,13 @@ def _phi0_once(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
     return float(g(math.sqrt(float(v[0])) * z) @ w)
 
 
+def _phi0_value(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int) -> float:
+    """phi(0) at one node count, by the route its grid size selects."""
+    if nodes ** (rsb.k + 1) <= PHI0_TENSOR_BUDGET:
+        return _phi0_tensor(rsb, mix, h, nodes)
+    return _phi0_once(rsb, mix, h, nodes)
+
+
 def phi0(
     rsb: RSBParams, mix: MixtureFunction, h: float, quad: QuadratureSpec
 ) -> RecursionResult:
@@ -157,12 +193,14 @@ def phi0(
     Starts from log 2 cosh(x + h), smooths through levels k down to 1
     with variances xi'(q_{l+1}) - xi'(q_l), and closes with a plain
     Gaussian expectation of variance xi'(q_1).  m_k = 1 is legal here.
+    Grids of at most ``PHI0_TENSOR_BUDGET`` points contract the level
+    chain on the full tensor grid; larger ones take the spline recursion.
     """
-    val = _phi0_once(rsb, mix, h, quad.nodes_per_level)
+    val = _phi0_value(rsb, mix, h, quad.nodes_per_level)
     diff = 0.0
     converged = True
     if quad.convergence_check:
-        val2 = _phi0_once(rsb, mix, h, 2 * quad.nodes_per_level)
+        val2 = _phi0_value(rsb, mix, h, 2 * quad.nodes_per_level)
         diff = abs(val2 - val)
         converged = diff < 1e-7
     return RecursionResult(
@@ -172,10 +210,8 @@ def phi0(
     )
 
 
-def guerra_bound(
-    rsb: RSBParams, mix: MixtureFunction, h: float, quad: QuadratureSpec
-) -> float:
-    """The k-step upper bound on the free energy.
+def bound_from_phi0(rsb: RSBParams, mix: MixtureFunction, phi0_value: float) -> float:
+    """The k-step bound B(m, q) from its phi(0) term.
 
     B(m, q) = phi(0) - theta(1)/2 + (1/2) sum_r (m_r - m_{r-1}) theta(q_r),
     the value obtained by integrating the interpolation derivative over t
@@ -184,11 +220,21 @@ def guerra_bound(
     """
     if rsb.m[-1] != 1.0:
         raise ValueError("the bound is defined at the m_k = 1 endpoint")
-    res = phi0(rsb, mix, h, quad)
-    b = res.phi0 - 0.5 * theta(mix, 1.0)
+    b = phi0_value - 0.5 * theta(mix, 1.0)
     for r in range(1, rsb.k + 1):
         b += 0.5 * (rsb.m[r] - rsb.m[r - 1]) * theta(mix, rsb.q[r])
     return float(b)
+
+
+def guerra_bound(
+    rsb: RSBParams, mix: MixtureFunction, h: float, quad: QuadratureSpec
+) -> float:
+    """The k-step upper bound on the free energy at ``quad``'s node count.
+
+    One phi(0) evaluation; ``quad.convergence_check`` is not run here
+    (``phi0`` runs and reports it).
+    """
+    return bound_from_phi0(rsb, mix, _phi0_value(rsb, mix, h, quad.nodes_per_level))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +246,15 @@ def guerra_bound(
 class BoundOptimum:
     params: RSBParams
     value: float
+    phi0: float
     converged: bool
     evaluations: int
     restart_values: list = field(default_factory=list)
+
+    @property
+    def restart_spread(self) -> float:
+        """Largest minus smallest end value over the restarts."""
+        return max(self.restart_values) - min(self.restart_values)
 
 
 def _sigmoid(y):
@@ -261,7 +313,7 @@ def _restart_points(mix, h, k, quad):
         ([0.2 + 0.6 * (j + 1) / k for j in range(k - 1)], [0.08 + 0.75 * i / max(k - 1, 1) for i in range(k)])
     )
     if k > 1:
-        sub = optimize_bound(mix, h, k - 1, quad, _embedding_level=True)
+        sub = optimize_bound(mix, h, k - 1, quad)
         q_sub = list(sub.params.q_interior)
         q_emb = q_sub + [min(q_sub[-1] + 1e-4, 1.0 - 1e-6)]
         m_emb = [0.5 * (j + 1) / k for j in range(k - 1)]
@@ -277,13 +329,14 @@ def optimize_bound(
     k: int,
     quad: QuadratureSpec,
     max_iterations: int | None = None,
-    _embedding_level: bool = False,
 ) -> BoundOptimum:
     """Minimize the bound over strictly ordered (m, q) at fixed k.
 
     Derivative-free simplex search on a sorted-logistic reparameterization
     (m_k pinned at 1), restarted from five deterministic initial points.
-    Results are reproducible for a fixed configuration.
+    Results are reproducible for a fixed configuration.  phi(0) at the
+    optimum, and its convergence check when ``quad`` asks for one, are
+    evaluated once, after the search.
     """
     if k > 3:
         raise ValueError("optimization supports k <= 3")
@@ -327,15 +380,12 @@ def optimize_bound(
             best_val = float(res.fun)
             best_y = np.array(res.x)
     params = _vector_to_params(best_y, k)
-    if not _embedding_level and quad.convergence_check:
-        final = phi0(params, mix, h, quad)
-        conv = final.converged and all_success
-    else:
-        conv = all_success
+    final = phi0(params, mix, h, quad)
     return BoundOptimum(
         params=params,
         value=best_val,
-        converged=conv,
+        phi0=final.phi0,
+        converged=final.converged and all_success,
         evaluations=evals,
         restart_values=restart_values,
     )

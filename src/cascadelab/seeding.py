@@ -26,9 +26,9 @@ MODULE_COUPLED = 7
 
 WORKERS_ENV = "CASCADELAB_WORKERS"
 
-# Fixed chunking of the replica range.  The chunk size is a constant, not
-# a function of the worker count, so the partition (and hence every
-# derived stream) is identical no matter how many workers execute it.
+# Fixed chunking of the replica range.  Streams are keyed by replica
+# index, not by chunk, so results do not depend on the partition; the
+# chunk size is still a constant, not a function of the worker count.
 CHUNK_SIZE = 256
 
 

@@ -216,6 +216,39 @@ def test_readme_bound_lines_run(tmp_path, monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["command"] == "bound"
 
 
+def test_readme_interpolate_error_term_runs(capsys):
+    # The README's usage line for interpolate, with the error-term check
+    # and every other key at its default.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (line,) = [
+        line for line in readme.read_text().splitlines()
+        if line.startswith("cascadelab interpolate --check ")
+    ]
+    argv = shlex.split(line)[1:]
+    assert "error-term" in argv[-1].split("|")
+    assert run(argv[:-1] + ["error-term"]) == 0, line
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["N"] == 4
+    assert [rec["name"] for rec in report["records"]] == ["error_term_r1"]
+
+
+def test_error_term_keeps_an_explicit_n(capsys):
+    assert resolve_config("interpolate", {}, {"check": "error-term", "N": 2}).N == 2
+    assert resolve_config("interpolate", {"N": 3}, {"check": "error-term"}).N == 3
+    assert resolve_config("interpolate", {}, {"check": "phi"}).N == 6
+    assert run(["interpolate", "--check", "error-term", "--N", "6"]) == 2
+    assert "N outside 1..4" in capsys.readouterr().err
+
+
+def test_optimize_reports_restart_spread(capsys):
+    rc = run(["optimize", "--mixture", "[[2, 0.42]]", "--k", "2", "--nodes", "12"])
+    assert rc == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    values = result["restart_values"]
+    assert len(values) == 5 and min(values) == result["bound"]
+    assert result["restart_spread"] == max(values) - min(values)
+
+
 def test_bound_away_from_endpoint_names_the_flag(capsys):
     rc = run(["bound", "--mixture", "[[2, 0.42]]"])
     assert rc == 2

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from cascadelab import recursion
 from cascadelab.interpolation import build_coupled_system
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import (
+    PHI0_TENSOR_BUDGET,
     QuadratureSpec,
     TabulatedFunction,
     _chain,
     _chain_weights,
     _lse_contract,
+    _phi0_once,
+    _phi0_tensor,
+    bound_from_phi0,
     gauss_hermite,
     guerra_bound,
     mu_r_quadrature,
@@ -269,3 +274,130 @@ def test_chain_matches_inline_loops():
         assert len(ws) == 2
         for got, want in zip(ws, want_ws):
             assert np.array_equal(got, want)
+
+
+# phi(0) by its two routes: the level chain on the full (k+1)-axis tensor
+# grid, and the spline recursion that the grid budget falls back to.
+
+ROUTE_MIXTURES = {
+    "sk_beta1.5": sk_mixture(1.5),
+    "p2_p4": make_mixture([(2, 1.0), (4, 0.5)]),
+}
+ROUTE_LADDERS = {
+    1: ((1.0,), (0.5,)),
+    2: ((0.4, 1.0), (0.3, 0.6)),
+    3: ((0.2, 0.6, 1.0), (0.2, 0.4, 0.7)),
+}
+
+
+class _LadderXiPrime:
+    """A stand-in mixture that gives xi' at the ladder points directly.
+
+    A flat stretch of xi' gives a level of zero variance, which no
+    convex mixture does at strictly increasing q.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def xi_prime(self, q):
+        assert len(q) == len(self.values)
+        return self.values
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(ROUTE_MIXTURES))
+def test_phi0_tensor_matches_spline_route(k, h, name):
+    rsb = RSBParams.from_interior(*ROUTE_LADDERS[k])
+    mix = ROUTE_MIXTURES[name]
+    for nodes in (12, 24):
+        tensor = _phi0_tensor(rsb, mix, h, nodes)
+        spline = _phi0_once(rsb, mix, h, nodes)
+        assert abs(tensor - spline) <= 1e-9, (nodes, tensor, spline)
+
+
+@pytest.mark.parametrize(
+    "m, q, xi_prime",
+    [
+        ((1.0,), (0.5,), (0.0, 0.0, 1.2)),  # v_0 = 0
+        ((0.4, 1.0), (0.3, 0.6), (0.0, 0.6, 0.6, 1.5)),  # v_1 = 0
+        ((0.4, 1.0), (0.3, 0.6), (0.0, 0.0, 0.9, 0.9)),  # v_0 = v_2 = 0
+        ((0.2, 0.6, 1.0), (0.2, 0.4, 0.7), (0.0, 0.5, 0.5, 1.1, 1.6)),  # v_1 = 0
+    ],
+)
+@pytest.mark.parametrize("h", [0.0, 0.3])
+def test_phi0_routes_agree_with_zero_variance_levels(m, q, xi_prime, h):
+    rsb = RSBParams.from_interior(m, q)
+    mix = _LadderXiPrime(xi_prime)
+    assert min(rsb.variances(mix)) == 0.0
+    tensor = _phi0_tensor(rsb, mix, h, 24)
+    spline = _phi0_once(rsb, mix, h, 24)
+    assert abs(tensor - spline) <= 1e-9, (tensor, spline)
+
+
+def test_phi0_tensor_zero_variance_is_log2cosh():
+    rsb = RSBParams.from_interior((0.4, 1.0), (0.3, 0.6))
+    value = _phi0_tensor(rsb, make_mixture([(2, 0.0)]), 0.5, 24)
+    assert value == pytest.approx(LOG2COSH_HALF, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("h", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(ROUTE_MIXTURES))
+def test_phi0_tensor_settles_by_60_nodes(k, h, name):
+    # q_1 = 0.3 keeps sqrt(v_0) below 1 for both mixtures; at q_1 = 0.5
+    # (sqrt(v_0) = 1.06) the k = 1 difference is still 1e-10 at 60 nodes
+    # and 3e-12 at 80.
+    m, q = ((1.0,), (0.3,)) if k == 1 else ROUTE_LADDERS[2]
+    rsb = RSBParams.from_interior(m, q)
+    mix = ROUTE_MIXTURES[name]
+    value = _phi0_tensor(rsb, mix, h, 60)
+    assert abs(_phi0_tensor(rsb, mix, h, 120) - value) < 1e-12
+
+
+def _count_routes(monkeypatch):
+    calls = {"tensor": [], "spline": []}
+
+    def counted(route, fn):
+        def wrapper(rsb, mix, h, nodes):
+            calls[route].append(nodes)
+            return fn(rsb, mix, h, nodes)
+
+        return wrapper
+
+    monkeypatch.setattr(recursion, "_phi0_tensor", counted("tensor", _phi0_tensor))
+    monkeypatch.setattr(recursion, "_phi0_once", counted("spline", _phi0_once))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "k, nodes, route",
+    [(1, 24, "tensor"), (2, 24, "tensor"), (3, 40, "spline")],
+)
+def test_phi0_route_follows_grid_budget(k, nodes, route, monkeypatch):
+    calls = _count_routes(monkeypatch)
+    rsb = RSBParams.from_interior(*ROUTE_LADDERS[k])
+    phi0(rsb, sk_mixture(1.5), 0.3, QuadratureSpec(nodes_per_level=nodes))
+    assert calls[route] == [nodes, 2 * nodes]
+    assert sum(len(v) for v in calls.values()) == 2
+    over = (2 * nodes) ** (k + 1) > PHI0_TENSOR_BUDGET
+    assert over == (route == "spline")
+
+
+def test_guerra_bound_is_one_phi0_evaluation(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    rsb = RSBParams.from_interior((0.4, 1.0), (0.3, 0.6))
+    mix = sk_mixture(1.5)
+    value = guerra_bound(rsb, mix, 0.3, QUAD)
+    assert calls == {"tensor": [40], "spline": []}
+    assert value == bound_from_phi0(rsb, mix, phi0(rsb, mix, 0.3, QUAD).phi0)
+
+
+def test_optimum_carries_its_phi0():
+    mix = sk_mixture(1.5)
+    opt = optimize_bound(mix, 0.3, 1, QUAD24)
+    assert opt.phi0 == phi0(opt.params, mix, 0.3, QUAD24).phi0
+    assert opt.value == bound_from_phi0(opt.params, mix, opt.phi0)
+    assert len(opt.restart_values) == 5
+    assert opt.restart_spread == max(opt.restart_values) - min(opt.restart_values)
