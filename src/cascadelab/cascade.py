@@ -240,10 +240,7 @@ def overlap_mass(rsb: RSBParams, b: int, replicas: int, seed: int) -> list:
     bounds the distance to the untruncated target m_r - m_{r-1}.
     """
     vals = run_replicas(_overlap_chunk, (rsb, b), seed, replicas)
-    return [
-        Estimate.from_values(vals[:, j, 0], allowance=float(vals[:, j, 1].mean()))
-        for j in range(rsb.k + 1)
-    ]
+    return [Estimate.from_pairs(vals[:, j]) for j in range(rsb.k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +248,18 @@ def overlap_mass(rsb: RSBParams, b: int, replicas: int, seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def sample_marks(b: int, k: int, taus, base: tuple, module: int = MODULE_MARKS):
+def sample_marks(b: int, k: int, taus, base: tuple):
     """Per-node scalar Gaussian marks, taus[l-1] the level-l deviation.
 
-    Drawn in per-parent blocks from (seed, module, level, parent), so a
-    node's mark is a function of the seed and its path alone.
+    Drawn in per-parent blocks from (seed, MODULE_MARKS, level, parent),
+    so a node's mark is a function of the seed and its path alone.
     """
     marks = []
     for level in range(1, k + 1):
         parents = b ** (level - 1)
         block = np.empty((parents, b))
         for j in range(parents):
-            block[j] = derive_rng(*base, module, level, j).standard_normal(b)
+            block[j] = derive_rng(*base, MODULE_MARKS, level, j).standard_normal(b)
         marks.append(taus[level - 1] * block.reshape((b,) * level))
     return marks
 
@@ -322,7 +319,7 @@ def log_partition_identity(
     cascade, and the estimate carries a truncation allowance.
     """
     vals = run_replicas(_logpart_chunk, (rsb, b, x_fn, tuple(taus)), seed, replicas)
-    est = Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
+    est = Estimate.from_pairs(vals)
     reference = mark_chain_root(x_fn, rsb, tuple(taus), quad)
     return est, reference
 
@@ -398,7 +395,7 @@ def tilted_average(
     vals = run_replicas(
         _tilt_chunk, (rsb, b, x_fn, y_fn, tuple(taus), restricted_r), seed, replicas
     )
-    est = Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
+    est = Estimate.from_pairs(vals)
     return est, reference
 
 
@@ -458,9 +455,7 @@ def weight_tilt_invariance(
     vals = run_replicas(
         _invariance_chunk, (rsb, b, x_fn, tuple(taus), statistic), seed, replicas
     )
-    tilted = Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
-    plain = Estimate.from_values(vals[:, 2], allowance=float(vals[:, 3].mean()))
-    return tilted, plain
+    return Estimate.from_pairs(vals[:, :2]), Estimate.from_pairs(vals[:, 2:])
 
 
 # ---------------------------------------------------------------------------

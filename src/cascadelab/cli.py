@@ -64,16 +64,6 @@ from .stats import Exact, identity_check
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "pd",
-    "cascade",
-    "bound",
-    "optimize",
-    "sk-exact",
-    "interpolate",
-    "verify-all",
-)
-
 INTERPOLATE_CHECKS = ("phi", "derivative", "overlap", "error-term")
 PRESETS = ("desk", "smoke")
 
@@ -394,6 +384,21 @@ def expected_masses(rsb: RSBParams) -> list:
     return jumps
 
 
+def mass_records(
+    prefix: str, estimates: list, rsb: RSBParams, tolerance: float, r_values=None, extras=None
+) -> list:
+    """``{prefix}_r{r}`` records of estimate r-1 against the mass m_r - m_{r-1},
+    for the depths ``r_values`` (by default every r = 1..k+1)."""
+    masses = expected_masses(rsb)
+    return [
+        identity_check(
+            f"{prefix}_r{r}", estimates[r - 1], Exact(masses[r - 1]), tolerance,
+            extras=extras,
+        )
+        for r in (range(1, rsb.k + 2) if r_values is None else r_values)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # commands; each returns (records, result, series)
 # ---------------------------------------------------------------------------
@@ -430,18 +435,14 @@ def cmd_pd(cfg: RunConfig):
 
 def cmd_cascade(cfg: RunConfig):
     rsb = cfg.rsb_params()
-    masses = expected_masses(rsb)
-    seed_c = child_seed(cfg.seed, 20)
-    records, rows = [], []
     # One pass for all r: the estimates share cascade draws and the
     # estimated masses sum to one realization by realization.
-    estimates = overlap_mass(rsb, cfg.b, cfg.replicas, seed_c)
-    for r in range(1, rsb.k + 2):
-        est = estimates[r - 1]
-        records.append(
-            identity_check(f"overlap_mass_r{r}", est, Exact(masses[r - 1]), cfg.tolerance)
-        )
-        rows.append((r, masses[r - 1], est.mean, est.std_error, est.allowance))
+    estimates = overlap_mass(rsb, cfg.b, cfg.replicas, child_seed(cfg.seed, 20))
+    records = mass_records("overlap_mass", estimates, rsb, cfg.tolerance)
+    rows = [
+        (r, rec.rhs, rec.lhs, rec.lhs_se, est.allowance)
+        for r, (rec, est) in enumerate(zip(records, estimates), start=1)
+    ]
     series = (("r", "expected", "estimate", "std_error", "allowance"), rows)
     return records, None, series
 
@@ -503,14 +504,11 @@ def cmd_sk_exact(cfg: RunConfig):
     if cfg.k is not None and fixed_params:
         raise ConfigError("give either k (optimized bound) or m and q (fixed bound)")
     if cfg.k is not None or fixed_params:
-        if cfg.k is not None:
-            rec = verify_bound(
-                cfg.N, mix, cfg.h, replicas, cfg.quad(), seed_f, optimize_k=cfg.k
-            )
-        else:
-            rec = verify_bound(
-                cfg.N, mix, cfg.h, replicas, cfg.quad(), seed_f, rsb=cfg.rsb_params()
-            )
+        rec = verify_bound(
+            cfg.N, mix, cfg.h, replicas, cfg.quad(), seed_f,
+            rsb=cfg.rsb_params() if fixed_params else None, optimize_k=cfg.k,
+            tolerance_multiplier=cfg.tolerance,
+        )
         result = {
             "free_energy": rec.lhs,
             "std_error": rec.lhs_se,
@@ -562,28 +560,22 @@ def cmd_interpolate(cfg: RunConfig):
     elif cfg.check == "derivative":
         report = derivative_check(
             cfg.N, cfg.t, mix, rsb, cfg.b, cfg.h, cfg.replicas,
-            child_seed(cfg.seed, 64), step=cfg.step,
+            child_seed(cfg.seed, 64), step=cfg.step, tolerance_multiplier=cfg.tolerance,
         )
         records.append(report.record)
     elif cfg.check == "overlap":
-        masses = expected_masses(rsb)
-        seed_m = child_seed(cfg.seed, 65)
         r_values = cfg.r_values(rsb.k + 1)
         estimates = gibbs_overlap_mass(
-            cfg.N, cfg.t, mix, rsb, cfg.b, cfg.h, cfg.replicas, seed_m
+            cfg.N, cfg.t, mix, rsb, cfg.b, cfg.h, cfg.replicas, child_seed(cfg.seed, 65)
         )
-        for r in r_values:
-            records.append(
-                identity_check(
-                    f"gibbs_overlap_r{r}", estimates[r - 1], Exact(masses[r - 1]), cfg.tolerance,
-                    extras={"t": cfg.t},
-                )
-            )
+        records += mass_records(
+            "gibbs_overlap", estimates, rsb, cfg.tolerance, r_values, extras={"t": cfg.t}
+        )
     elif cfg.check == "error-term":
         for r in cfg.r_values(rsb.k):
             report = error_term_check(
                 cfg.N, cfg.t, r, mix, rsb, cfg.b, cfg.h, cfg.replicas,
-                child_seed(cfg.seed, 66),
+                child_seed(cfg.seed, 66), cfg.tolerance,
             )
             records.append(report.record)
     else:
@@ -630,12 +622,8 @@ def cmd_verify_all(cfg: RunConfig):
 
     # Cascade weights carry the overlap distribution.
     rsb2 = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
-    masses = expected_masses(rsb2)
     estimates = overlap_mass(rsb2, n(200, 50), n(1000, 200), seed(3))
-    for r in (1, 2, 3):
-        records.append(
-            identity_check(f"overlap_mass_r{r}", estimates[r - 1], Exact(masses[r - 1]), tol)
-        )
+    records += mass_records("overlap_mass", estimates, rsb2, tol)
 
     # Recursion chain vs direct cascade simulation.  No record reads a
     # convergence flag, so the quadrature runs at one node count.
@@ -677,7 +665,7 @@ def cmd_verify_all(cfg: RunConfig):
     records.append(
         verify_bound(
             n(8, 6), sk_mixture(1.2), 0.3, n(500, 200), quad, seed(8),
-            optimize_k=n(2, 1),
+            optimize_k=n(2, 1), tolerance_multiplier=tol,
         )
     )
 
@@ -693,20 +681,17 @@ def cmd_verify_all(cfg: RunConfig):
     records.append(identity_check("phi_t1_vs_enumeration", est, fe, tol))
     records.append(
         derivative_check(
-            4, 0.5, mix_i, rsb_i, n(30, 20), 0.3, n(200, 80), seed(12)
+            4, 0.5, mix_i, rsb_i, n(30, 20), 0.3, n(200, 80), seed(12),
+            tolerance_multiplier=tol,
         ).record
     )
-    seed_m = seed(13)
-    masses = expected_masses(rsb_i)
-    estimates = gibbs_overlap_mass(4, 0.9, mix_i, rsb_i, n(50, 30), 0.3, n(300, 100), seed_m)
-    for r in (1, 2, 3):
-        records.append(
-            identity_check(f"gibbs_overlap_r{r}", estimates[r - 1], Exact(masses[r - 1]), tol,
-                           extras={"t": 0.9})
-        )
+    estimates = gibbs_overlap_mass(4, 0.9, mix_i, rsb_i, n(50, 30), 0.3, n(300, 100), seed(13))
+    records += mass_records("gibbs_overlap", estimates, rsb_i, tol, extras={"t": 0.9})
     rsb_e = RSBParams.from_interior((0.3, 0.6), (0.3, 0.6))
     records.append(
-        error_term_check(4, 0.5, 1, mix_i, rsb_e, n(40, 25), 0.3, n(100, 50), seed(14)).record
+        error_term_check(
+            4, 0.5, 1, mix_i, rsb_e, n(40, 25), 0.3, n(100, 50), seed(14), tol
+        ).record
     )
 
     # The restricted Gibbs average against tensor quadrature, plus its

@@ -168,7 +168,7 @@ def estimate_pair_sum(m: float, n_max: int, replicas: int, seed: int) -> Estimat
     if not 0.0 < m < 1.0:
         raise ValueError(f"m must lie in (0, 1), got {m}")
     vals = run_replicas(_pair_sum_chunk, (m, n_max), seed, replicas)
-    return Estimate.from_values(vals[:, 0], allowance=float(vals[:, 1].mean()))
+    return Estimate.from_pairs(vals)
 
 
 def _statistic(name: str, u: np.ndarray, y: np.ndarray) -> float:

@@ -291,14 +291,6 @@ def _enforce_gaps(vals: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def _params_to_vector(params: RSBParams) -> np.ndarray:
-    parts = []
-    if params.k > 1:
-        parts.append(_logit(np.asarray(params.m_interior[:-1])))
-    parts.append(_logit(np.asarray(params.q_interior)))
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
 def _restart_points(mix, h, k, quad):
     """Five deterministic starts, including the (k-1)-step optimum embedded."""
     starts = []
@@ -328,7 +320,6 @@ def optimize_bound(
     h: float,
     k: int,
     quad: QuadratureSpec,
-    max_iterations: int | None = None,
 ) -> BoundOptimum:
     """Minimize the bound over strictly ordered (m, q) at fixed k.
 
@@ -338,8 +329,8 @@ def optimize_bound(
     optimum, and its convergence check when ``quad`` asks for one, are
     evaluated once, after the search.
     """
-    if k > 3:
-        raise ValueError("optimization supports k <= 3")
+    if not 1 <= k <= 3:
+        raise ValueError(f"optimization supports k in 1..3, got k = {k}")
     inner = QuadratureSpec(
         nodes_per_level=quad.nodes_per_level, convergence_check=False
     )
@@ -350,8 +341,6 @@ def optimize_bound(
         evals += 1
         return guerra_bound(_vector_to_params(np.asarray(y), k), mix, h, inner)
 
-    dim = 2 * k - 1
-    maxiter = max_iterations or 250 * dim
     best_y = None
     best_val = math.inf
     restart_values = []
@@ -370,7 +359,7 @@ def optimize_bound(
             options={
                 "xatol": 1e-7,
                 "fatol": 1e-11,
-                "maxiter": maxiter,
+                "maxiter": 250 * (2 * k - 1),
                 "adaptive": True,
             },
         )
@@ -446,9 +435,10 @@ def _chain_weights(xs, m):
 
 def _grid_nodes(quad: QuadratureSpec, ndim: int):
     """Gauss-Hermite nodes and weights for a tensor grid of ndim axes."""
-    if quad.nodes_per_level**ndim > TENSOR_BUDGET:
-        raise ValueError("tensor grid exceeds the quadrature budget")
-    return gauss_hermite(quad.nodes_per_level)
+    n = quad.nodes_per_level
+    if n**ndim > TENSOR_BUDGET:
+        raise ValueError(f"tensor grid {n}^{ndim} exceeds the {TENSOR_BUDGET:.0e} budget")
+    return gauss_hermite(n)
 
 
 def _path_grid(x_fn: PathFunctional, tau, z, ndim: int, mark_axes):
@@ -588,8 +578,6 @@ def mu_r_quadrature(
         raise ValueError("t must lie in [0, 1]")
     check_field_compatible(mix)
     v = np.maximum(rsb.variances(mix), 0.0)
-    n = quad.nodes_per_level
-    z, w = gauss_hermite(n)
 
     # Axis registry: one axis per active Gaussian. Columns 0..r-1 are
     # shared between the copies; columns r..k appear once per copy. The
@@ -610,13 +598,10 @@ def mu_r_quadrature(
     ndim = len(axes)
     if ndim == 0:
         raise ValueError("degenerate configuration: no active randomness")
-    if n**ndim > TENSOR_BUDGET:
-        raise ValueError(
-            f"tensor grid {n}^{ndim} exceeds the {TENSOR_BUDGET:.0e} budget"
-        )
+    z, w = _grid_nodes(quad, ndim)
 
     def grid(idx, scale):
-        return (scale * z).reshape(_axis_shape(ndim, idx, n))
+        return (scale * z).reshape(_axis_shape(ndim, idx, z.size))
 
     z_axes = {}  # (col, site, copy or None) -> axis index
     h_axes = {}

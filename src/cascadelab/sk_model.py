@@ -25,7 +25,7 @@ from scipy.special import logsumexp
 
 from .mixture import MixtureFunction
 from .seeding import MODULE_SK, derive_rng, run_replicas
-from .stats import CheckRecord, Estimate
+from .stats import CheckRecord, Estimate, identity_check
 
 MAX_SITES = 14
 MAX_POWER = 4
@@ -70,40 +70,47 @@ def monomial_variances(N: int, mix: MixtureFunction) -> dict:
     return out
 
 
+def spin_matrix(N: int) -> np.ndarray:
+    """All configurations as +-1 rows, shape (2^N, N).
+
+    Row s encodes sigma_i = 1 - 2 * bit_i(s); every other spin table
+    derives from this one.
+    """
+    bits = (np.arange(2**N)[:, None] >> np.arange(N)[None, :]) & 1
+    return (1 - 2 * bits).astype(float)
+
+
 def monomial_signs(N: int, masks) -> np.ndarray:
     """Matrix of sigma_S values, one row per spin configuration.
 
-    Row s encodes sigma_i = 1 - 2 * bit_i(s); column j is the product of
-    the sigma_i over the sites of masks[j].
+    Column j is the product of the sigma_i over the sites of masks[j]
+    (the empty product 1 for mask 0), in the row order of ``spin_matrix``.
     """
-    bits = (np.arange(2**N)[:, None] >> np.arange(N)[None, :]) & 1
+    spins = spin_matrix(N)
     cols = []
     for mask in masks:
         sites = [i for i in range(N) if (mask >> i) & 1]
-        parity = bits[:, sites].sum(axis=1) % 2 if sites else np.zeros(2**N, int)
-        cols.append(1.0 - 2.0 * parity)
+        cols.append(spins[:, sites].prod(axis=1))
     return np.stack(cols, axis=1) if cols else np.zeros((2**N, 0))
 
 
 def spin_sums(N: int) -> np.ndarray:
     """sum_i sigma_i for every configuration, in the same row order."""
-    bits = (np.arange(2**N)[:, None] >> np.arange(N)[None, :]) & 1
-    return (N - 2 * bits.sum(axis=1)).astype(float)
-
-
-def spin_matrix(N: int) -> np.ndarray:
-    """All configurations as +-1 rows, shape (2^N, N)."""
-    bits = (np.arange(2**N)[:, None] >> np.arange(N)[None, :]) & 1
-    return (1 - 2 * bits).astype(float)
+    return spin_matrix(N).sum(axis=1)
 
 
 @dataclass
 class HamiltonianTable:
-    """One disorder realization: 2^N Hamiltonian values and coefficients."""
+    """One disorder realization: 2^N Hamiltonian values and coefficients.
+
+    ``variances`` and the columns of ``signs`` are aligned with ``masks``:
+    H = signs @ coefficients, with coefficient j of variance variances[j].
+    """
 
     N: int
-    mixture: MixtureFunction
     masks: tuple
+    variances: np.ndarray
+    signs: np.ndarray  # (2^N, len(masks)), sigma_S per configuration
     coefficients: np.ndarray
     values: np.ndarray
 
@@ -112,13 +119,14 @@ def sample_hamiltonian(N: int, mixture: MixtureFunction, seed) -> HamiltonianTab
     """Draw one disorder realization as a table over all 2^N configurations."""
     _check_size(N, mixture)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, MODULE_SK)
-    variances = monomial_variances(N, mixture)
-    masks = tuple(sorted(variances))
-    stds = np.sqrt([variances[m] for m in masks])
-    coefficients = rng.standard_normal(len(masks)) * stds
-    values = monomial_signs(N, masks) @ coefficients
+    by_mask = monomial_variances(N, mixture)
+    masks = tuple(sorted(by_mask))
+    variances = np.array([by_mask[m] for m in masks])
+    signs = monomial_signs(N, masks)
+    coefficients = rng.standard_normal(len(masks)) * np.sqrt(variances)
     return HamiltonianTable(
-        N=N, mixture=mixture, masks=masks, coefficients=coefficients, values=values
+        N=N, masks=masks, variances=variances, signs=signs,
+        coefficients=coefficients, values=signs @ coefficients,
     )
 
 
@@ -196,11 +204,14 @@ def verify_bound(
     seed: int,
     rsb=None,
     optimize_k: int | None = None,
+    tolerance_multiplier: float = 3.0,
 ) -> CheckRecord:
-    """Check F_hat_N <= B + 3 SE against a supplied or optimized bound.
+    """Check F_hat_N <= B + c SE against a supplied or optimized bound.
 
-    The inequality is one-sided: the finite-N free energy sits below the
-    bound up to statistical error, with no credit for how far below.
+    c is ``tolerance_multiplier``.  The record is built by
+    ``identity_check``, but its verdict is one-sided: the finite-N free
+    energy sits below the bound up to statistical error, with no credit
+    for how far below.
     """
     from .recursion import guerra_bound, optimize_bound
 
@@ -219,16 +230,9 @@ def verify_bound(
             "params_q": list(opt.params.q),
         }
     fe = exact_free_energy(N, mixture, h, disorder_replicas, seed)
-    tolerance = 3.0 * fe.std_error
-    margin = bound - fe.mean
-    extras["margin"] = margin
-    return CheckRecord(
-        name="free_energy_bound",
-        lhs=fe.mean,
-        lhs_se=fe.std_error,
-        rhs=bound,
-        rhs_se=0.0,
-        tolerance=tolerance,
-        passed=bool(fe.mean - bound <= tolerance),
-        extras=extras,
+    extras["margin"] = bound - fe.mean
+    record = identity_check(
+        "free_energy_bound", fe, bound, tolerance_multiplier, extras=extras
     )
+    record.passed = bool(fe.mean - bound <= record.tolerance)
+    return record

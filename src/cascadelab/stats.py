@@ -58,6 +58,13 @@ class Estimate:
             allowance=float(allowance),
         )
 
+    @classmethod
+    def from_pairs(cls, rows) -> "Estimate":
+        """Mean and standard error of the values in per-replica (value,
+        allowance) rows, with the mean allowance attached."""
+        rows = np.asarray(rows, dtype=float)
+        return cls.from_values(rows[..., 0], allowance=float(rows[..., 1].mean()))
+
 
 @dataclass(frozen=True)
 class Exact:

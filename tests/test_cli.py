@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -290,6 +291,41 @@ def test_pd_reports_corollary_replica_floor(capsys):
     corollary = [rec for rec in report["records"] if rec["name"].startswith("corollary_")]
     assert corollary and all(rec["replicas"] == 1000 for rec in corollary)
     assert all("replicas" not in rec for rec in report["records"] if rec not in corollary)
+
+
+def _records(argv, capsys):
+    assert run(argv) == 0, argv
+    return json.loads(capsys.readouterr().out)["records"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interpolate", "--check", "derivative", "--N", "3", "--b", "10", "--replicas", "20",
+         "--m", "[0.4, 0.8]", "--q", "[0.3, 0.6]"],
+        ["interpolate", "--check", "error-term", "--N", "2", "--b", "8", "--replicas", "20",
+         "--m", "[0.4, 0.8]", "--q", "[0.3, 0.6]", "--r", "1"],
+        ["sk-exact", "--N", "4", "--m", "[1.0]", "--q", "[0.5]", "--replicas", "200"],
+    ],
+)
+def test_tolerance_scales_every_record(argv, capsys):
+    # The allowance part of each tolerance stays; the sampling part,
+    # multiplier x combined standard error, grows tenfold from 3 to 30.
+    default = _records(argv, capsys)
+    wide = _records(argv + ["--tolerance", "30"], capsys)
+    assert [rec["name"] for rec in default] == [rec["name"] for rec in wide]
+    assert default[0]["name"] in ("derivative_identity", "error_term_r1", "free_energy_bound")
+    for a, b in zip(default, wide):
+        se = math.hypot(a["lhs_se"], a["rhs_se"])
+        assert se > 0
+        assert b["tolerance"] - a["tolerance"] == pytest.approx(27.0 * se, rel=1e-9)
+        assert {**a, "tolerance": 0, "pass": 0} == {**b, "tolerance": 0, "pass": 0}
+
+
+@pytest.mark.parametrize("command", ["optimize", "sk-exact"])
+def test_k_zero_is_a_usage_error(command, capsys):
+    assert run([command, "--k", "0", "--N", "3"]) == 2
+    assert "k in 1..3" in capsys.readouterr().err
 
 
 def test_config_keys_are_the_defaults():

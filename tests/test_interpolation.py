@@ -1,6 +1,7 @@
 """Joint Gibbs systems on the interpolation path and their identities."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ import pytest
 from cascadelab import interpolation
 from cascadelab.interpolation import (
     _OP_DERIVATIVE,
+    _OP_ERROR_COUPLED,
     MODULE_INTERP,
+    CoupledGibbsSystem,
     _pair_terms,
+    _system_chunk,
     build_coupled_system,
     build_system,
     coupled_n_sequence,
@@ -214,6 +218,45 @@ def test_error_term_factorization_small():
     gap = RSB1.m[1] - RSB1.m[0]
     assert report.rhs.mean == pytest.approx(gap * report.coupled_average.mean, rel=1e-12)
     assert report.record.extras["exponent_gap"] == pytest.approx(gap)
+
+
+def _oracle_coupled_rows(N, t, r, mix, rsb, b, h, replicas, seed):
+    # the dedicated coupled replica loop that _system_chunk replaced
+    gap = rsb.m[r] - rsb.m[r - 1]
+    out = np.empty((replicas, 2))
+    for rep in range(replicas):
+        system = build_coupled_system(
+            N, t, r, mix, rsb, b, h, (seed, MODULE_INTERP, _OP_ERROR_COUPLED, rep)
+        )
+        value, allowance = system.delta_average()
+        out[rep] = (gap * value, gap * allowance)
+    return out
+
+
+def test_coupled_rows_match_dedicated_loop():
+    mix, r, gap = sk_mixture(0.5), 1, RSB2.m[1] - RSB2.m[0]
+    oracle = _oracle_coupled_rows(2, 0.5, r, mix, RSB2, 6, 0.3, 12, 23)
+    build = partial(build_coupled_system, 2, 0.5, r, mix, RSB2, 6, 0.3)
+    args = (_OP_ERROR_COUPLED, build, CoupledGibbsSystem.delta_average)
+    assert np.array_equal(gap * _system_chunk(args, 23, 0, 12), oracle)
+    report = error_term_check(2, 0.5, r, mix, RSB2, 6, 0.3, 12, seed=23)
+    assert report.rhs == Estimate.from_values(
+        oracle[:, 0], allowance=float(oracle[:, 1].mean())
+    )
+    assert report.coupled_average == Estimate.from_values(
+        oracle[:, 0] / gap, allowance=float(oracle[:, 1].mean()) / gap
+    )
+
+
+def test_error_term_same_across_workers(monkeypatch):
+    # 300 replicas span two chunks, so two workers pickle both builders
+    mix = sk_mixture(0.5)
+    out = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("CASCADELAB_WORKERS", workers)
+        report = error_term_check(2, 0.5, 1, mix, RSB1, 8, 0.3, 300, seed=29)
+        out[workers] = (report.lhs, report.rhs, report.coupled_average, report.record)
+    assert out["1"] == out["2"]
 
 
 def test_error_term_rejects_bad_level():

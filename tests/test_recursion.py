@@ -166,8 +166,9 @@ def test_optimize_low_temperature_k2_improves():
 
 
 def test_optimize_rejects_large_k():
-    with pytest.raises(ValueError):
-        optimize_bound(sk_mixture(0.5), 0.0, 4, QUAD24)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            optimize_bound(sk_mixture(0.5), 0.0, k, QUAD24)
 
 
 def test_mu_normalization_and_chain_agreement():

@@ -86,6 +86,34 @@ def test_signs_and_sums_consistency():
     assert np.array_equal(signs[:, 0], sigma[:, 0] * sigma[:, 1])
 
 
+def _bit_table(N):
+    return (np.arange(2**N)[:, None] >> np.arange(N)[None, :]) & 1
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_spin_tables_match_bit_table_formulas(N):
+    # sigma_i = 1 - 2 bit_i(s); sigma_S = 1 - 2 (parity of S's bits)
+    bits = _bit_table(N)
+    assert np.array_equal(spin_sums(N), (N - 2 * bits.sum(axis=1)).astype(float))
+    masks = tuple(range(2**N))
+    parity = np.stack(
+        [bits[:, [i for i in range(N) if (mask >> i) & 1]].sum(axis=1) % 2 for mask in masks],
+        axis=1,
+    )
+    assert np.array_equal(monomial_signs(N, masks), 1.0 - 2.0 * parity)
+    assert np.array_equal(monomial_signs(N, (0,))[:, 0], np.ones(2**N))
+
+
+def test_hamiltonian_table_carries_its_monomial_data():
+    N, mix = 4, make_mixture([(1, 0.3), (2, 0.9), (4, 0.4)])
+    table = sample_hamiltonian(N, mix, seed=12)
+    variances = monomial_variances(N, mix)
+    assert 0 in table.masks
+    assert np.array_equal(table.signs, monomial_signs(N, table.masks))
+    assert np.array_equal(table.variances, np.array([variances[m] for m in table.masks]))
+    assert np.array_equal(table.values, table.signs @ table.coefficients)
+
+
 def test_zero_coupling_free_energy_is_deterministic():
     fe = exact_free_energy(3, make_mixture([(2, 0.0)]), 0.5, 200, seed=2)
     assert fe.mean == pytest.approx(LOG2COSH_HALF, abs=1e-12)

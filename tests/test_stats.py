@@ -22,6 +22,15 @@ def test_estimate_carries_allowance():
     assert est.std_error == 0.0
 
 
+def test_estimate_from_pairs_matches_from_values():
+    rows = np.random.default_rng(4).normal(size=(37, 3, 2)) ** 2
+    for j in range(3):
+        pairs = rows[:, j]
+        expected = Estimate.from_values(pairs[:, 0], allowance=float(pairs[:, 1].mean()))
+        assert Estimate.from_pairs(pairs) == expected
+    assert Estimate.from_pairs(rows[:, 1].tolist()) == Estimate.from_pairs(rows[:, 1])
+
+
 def test_estimate_rejects_non_finite_values():
     with pytest.raises(FloatingPointError, match="replica 2 "):
         Estimate.from_values(np.array([1.0, 2.0, np.nan, np.inf]))
