@@ -135,6 +135,8 @@ def _validated(key: str, value):
     if key in _FLOAT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key} must be a number, got {value!r}")
+        if key == "tolerance" and not 0.0 <= value < math.inf:
+            raise ConfigError(f"tolerance must be finite and >= 0, got {value}")
         return float(value)
     if key in _STR_KEYS:
         if not isinstance(value, str):
@@ -160,11 +162,11 @@ def _validated(key: str, value):
             return None
         if isinstance(value, int) and not isinstance(value, bool):
             return [value]
-        if isinstance(value, (list, tuple)) and all(
+        if isinstance(value, (list, tuple)) and value and all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
         ):
             return list(value)
-        raise ConfigError(f"r must be an integer or a list of integers, got {value!r}")
+        raise ConfigError(f"r must be an integer or a nonempty list of integers, got {value!r}")
     if key == "k":
         if value is None:
             return None

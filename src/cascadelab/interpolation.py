@@ -83,13 +83,17 @@ def _sample_disorder(N, mixture, rsb, cascade_rsb, b, seed):
     return cascade, fields, table
 
 
-def _gibbs_weights(expo, message):
-    """exp(expo - log Z) and log Z, checked to sum to one."""
-    log_norm = float(logsumexp(expo))
+def _gibbs_weights(expo, message, axis=None):
+    """exp(expo - log Z) and log Z, normalized over ``axis`` (all by default).
+
+    Every slice along ``axis`` is checked to sum to one; log Z is a float
+    for the whole array and one value per slice otherwise.
+    """
+    log_norm = logsumexp(expo, axis=axis, keepdims=True)
     gamma = np.exp(expo - log_norm)
-    if abs(float(gamma.sum()) - 1.0) > NORMALIZATION_TOL:
+    if np.max(np.abs(gamma.sum(axis=axis) - 1.0)) > NORMALIZATION_TOL:
         raise AssertionError(message)
-    return gamma, log_norm
+    return gamma, log_norm.item() if axis is None else log_norm.squeeze(axis)
 
 
 def _corrected_combo(terms, eps, margin):
@@ -262,16 +266,7 @@ def _system_chunk(args, master, start, stop):
     disorder from stream (master, MODULE_INTERP, op, rep).
     """
     op, build, read = args
-    rows = []
-    for rep in range(start, stop):
-        # ``system`` stays alive until the next replica's system is built.
-        # A comprehension over read(build(...)) frees each system first,
-        # and made 30 coupled replicas at N = 4, b = 40 take 0.86 s instead
-        # of 0.74 s.  With MALLOC_MMAP_THRESHOLD_ fixed both forms took
-        # 1.10 s, so the gap is in how glibc's malloc reuses the heap for
-        # the multi-megabyte arrays.
-        system = build((master, MODULE_INTERP, op, rep))
-        rows.append(read(system))
+    rows = [read(build((master, MODULE_INTERP, op, rep))) for rep in range(start, stop)]
     return np.array(rows, dtype=float)
 
 
@@ -473,7 +468,11 @@ class CoupledGibbsSystem:
     The cascade weights use n_l = m_l / 2 below level r and m_l at and
     above it; the two field copies share their tree columns strictly
     below level r (their node streams are reused) and are independent
-    from level r upward.
+    from level r upward.  Given the leaf the two spin copies are
+    independent, so the measure is held as its factors
+    Gamma_r(sigma^1, sigma^2, alpha) = pi(alpha) p1(sigma^1 | alpha)
+    p2(sigma^2 | alpha) and the (2^N, 2^N, b^k) product is never formed
+    on the error-term path.
     """
 
     N: int
@@ -483,8 +482,15 @@ class CoupledGibbsSystem:
     mixture: MixtureFunction
     table: HamiltonianTable
     cascade: Cascade
-    gamma: np.ndarray  # (2^N, 2^N, b^k), normalized
+    p1: np.ndarray  # (2^N, b^k), copy 1 given the leaf, columns normalized
+    p2: np.ndarray  # (2^N, b^k), copy 2 given the leaf, columns normalized
+    pi: np.ndarray  # (b^k,), leaf marginal, normalized
     log_norm: float
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The joint (2^N, 2^N, b^k) array, built on each read."""
+        return self.pi * self.p1[:, None, :] * self.p2[None, :, :]
 
     def normalization_error(self) -> float:
         return abs(float(self.gamma.sum()) - 1.0)
@@ -501,15 +507,13 @@ class CoupledGibbsSystem:
         spins = spin_matrix(self.N)
         overlaps = (spins @ spins.T) / self.N
         dvals = delta_array(self.mixture, overlaps, float(rsb.q[self.r]))
-        value = float((self.gamma * dvals[:, :, None]).sum())
+        leaf_means = np.einsum("sa,sa->a", self.p1, dvals @ self.p2)
+        value = float(self.pi @ leaf_means)
 
-        a = self.gamma.sum(axis=(0, 1))
-        w = self.cascade.leaf_weights_flat()
-        f = a / w
+        f = self.pi / self.cascade.leaf_weights_flat()
         rho = float(f.mean())
         eps = float(self.cascade.cumulative_losses()[-1])
         eps_f = _tilted_loss(eps, rho)
-        leaf_means = (self.gamma * dvals[:, :, None]).sum(axis=(0, 1)) / a
         blocks = leaf_means.reshape(self.cascade.b, -1).mean(axis=1)
         allowance = eps_f * (
             abs(float(leaf_means.mean()) - value)
@@ -555,16 +559,18 @@ def build_coupled_system(
 
     spins = spin_matrix(N)
     single = np.sqrt(t) * table.values + h * spin_sums(N)
-    tilt1 = np.sqrt(1.0 - t) * (spins @ fields.all_fields().T)
-    tilt2 = np.sqrt(1.0 - t) * (spins @ fields.independent_from(r).all_fields().T)
-    expo = (
-        single[:, None, None]
-        + single[None, :, None]
-        + tilt1[:, None, :]
-        + tilt2[None, :, :]
-        + np.log(cascade.leaf_weights_flat())[None, None, :]
+    (p1, leaf_log1), (p2, leaf_log2) = (
+        _gibbs_weights(
+            single[:, None] + np.sqrt(1.0 - t) * (spins @ columns.T),
+            "coupled conditionals failed to normalize",
+            axis=0,
+        )
+        for columns in (fields.all_fields(), fields.independent_from(r).all_fields())
     )
-    gamma, log_norm = _gibbs_weights(expo, "coupled weights failed to normalize")
+    pi, log_norm = _gibbs_weights(
+        np.log(cascade.leaf_weights_flat()) + leaf_log1 + leaf_log2,
+        "coupled weights failed to normalize",
+    )
     return CoupledGibbsSystem(
         N=N,
         t=t,
@@ -573,7 +579,9 @@ def build_coupled_system(
         mixture=mixture,
         table=table,
         cascade=cascade,
-        gamma=gamma,
+        p1=p1,
+        p2=p2,
+        pi=pi,
         log_norm=log_norm,
     )
 

@@ -27,11 +27,12 @@ from cascadelab.interpolation import (
     _OP_MASS,
     MODULE_INTERP,
     _corrected_combo,
+    _tilted_loss,
     build_coupled_system,
     build_system,
     gibbs_overlap_mass,
 )
-from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
+from cascadelab.mixture import RSBParams, delta_array, make_mixture, sk_mixture
 from cascadelab.pd_process import sample_pd
 from cascadelab.recursion import QuadratureSpec
 from cascadelab.seeding import MODULE_COUPLED, MODULE_FIELDS, MODULE_SK, derive_rng
@@ -364,24 +365,89 @@ def test_coupled_fields_match_inline_loop():
             assert np.array_equal(fields.independent_from(r).all_fields(), second)
 
 
-def test_coupled_system_matches_inline_loop():
-    mix, N, b, t, h = sk_mixture(0.6), 2, 6, 0.4, 0.3
+def _dense_coupled(system, first, second, table):
+    # The 3-D route the factored coupled system replaced: the joint
+    # (2^N, 2^N, b^k) exponent, its normalization and delta_average's
+    # value and allowance read off the joint array.
+    N, t, h = system.N, system.t, system.h
     spins = spin_matrix(N)
+    single = np.sqrt(t) * table.values + h * spin_sums(N)
+    w = system.cascade.leaf_weights_flat()
+    expo = (
+        single[:, None, None]
+        + single[None, :, None]
+        + (np.sqrt(1.0 - t) * (spins @ first.T))[:, None, :]
+        + (np.sqrt(1.0 - t) * (spins @ second.T))[None, :, :]
+        + np.log(w)[None, None, :]
+    )
+    log_norm = float(logsumexp(expo))
+    gamma = np.exp(expo - log_norm)
+    overlaps = (spins @ spins.T) / N
+    dvals = delta_array(system.mixture, overlaps, float(system.cascade.rsb.q[system.r]))
+    value = float((gamma * dvals[:, :, None]).sum())
+    a = gamma.sum(axis=(0, 1))
+    rho = float((a / w).mean())
+    eps_f = _tilted_loss(float(system.cascade.cumulative_losses()[-1]), rho)
+    leaf_means = (gamma * dvals[:, :, None]).sum(axis=(0, 1)) / a
+    blocks = leaf_means.reshape(system.cascade.b, -1).mean(axis=1)
+    allowance = eps_f * (
+        abs(float(leaf_means.mean()) - value)
+        + 3.0 * float(blocks.std(ddof=1) / np.sqrt(blocks.size))
+    )
+    return log_norm, gamma, value, allowance
+
+
+def test_coupled_system_matches_inline_loop():
+    # The factored measure sums in another order than the joint array,
+    # so agreement is to rounding, not to the bit.
+    mix, N, b, t, h = sk_mixture(0.6), 2, 6, 0.4, 0.3
     for r in (1, 2):
         base = (83, MODULE_INTERP, r)
         system = build_coupled_system(N, t, r, mix, RSB2, b, h, base)
         first, second = _oracle_coupled_fields(RSB2, mix, N, b, r, base)
         table = sample_hamiltonian(N, mix, _oracle_stream(base, MODULE_SK))
-        single = np.sqrt(t) * table.values + h * spin_sums(N)
-        expo = (
-            single[:, None, None]
-            + single[None, :, None]
-            + (np.sqrt(1.0 - t) * (spins @ first.T))[:, None, :]
-            + (np.sqrt(1.0 - t) * (spins @ second.T))[None, :, :]
-            + np.log(system.cascade.leaf_weights_flat())[None, None, :]
-        )
-        assert system.log_norm == float(logsumexp(expo))
-        assert np.array_equal(system.gamma, np.exp(expo - system.log_norm))
+        log_norm, gamma, value, allowance = _dense_coupled(system, first, second, table)
+        assert system.log_norm == pytest.approx(log_norm, rel=1e-13)
+        assert np.allclose(system.gamma, gamma, rtol=1e-12, atol=0.0)
+        got_value, got_allowance = system.delta_average()
+        assert got_value == pytest.approx(value, rel=1e-12)
+        assert got_allowance == pytest.approx(allowance, rel=1e-12)
+
+
+COUPLED_MIXTURES = (
+    sk_mixture(0.6),
+    make_mixture([(2, 0.8), (4, 0.4)]),
+    make_mixture([(2, 1.2), (4, 0.9)]),
+)
+COUPLED_LADDERS = (
+    RSBParams.from_interior((0.5,), (0.4,)),
+    RSB2,
+    RSBParams.from_interior((0.25, 0.7), (0.2, 0.55)),
+)
+
+
+@pytest.mark.parametrize("mix", COUPLED_MIXTURES)
+@pytest.mark.parametrize("rsb", COUPLED_LADDERS)
+def test_factored_coupled_system_matches_joint_array(mix, rsb):
+    # Every N the coupled system holds, a small and the benchmark's b,
+    # every level r and both ends and the middle of the path.
+    h = 0.3
+    for N in range(1, 5):
+        for b in (6, 40):
+            for r in range(1, rsb.k + 1):
+                for t in (0.0, 0.5, 1.0):
+                    base = (87, MODULE_INTERP, N, b, r)
+                    system = build_coupled_system(N, t, r, mix, rsb, b, h, base)
+                    first, second = _oracle_coupled_fields(rsb, mix, N, b, r, base)
+                    table = sample_hamiltonian(N, mix, _oracle_stream(base, MODULE_SK))
+                    log_norm, _, value, allowance = _dense_coupled(
+                        system, first, second, table
+                    )
+                    got_value, got_allowance = system.delta_average()
+                    case = (N, b, r, t)
+                    assert system.log_norm == pytest.approx(log_norm, rel=1e-13), case
+                    assert got_value == pytest.approx(value, rel=1e-12), case
+                    assert abs(got_allowance - allowance) <= 1e-12 * abs(value), case
 
 
 def test_field_covariance_matches_path_walk():

@@ -264,6 +264,28 @@ def test_interpolate_overlap_rejects_bad_r(capsys):
     assert "r = 3 outside 1..2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["overlap", "error-term"])
+def test_interpolate_rejects_empty_r(check, capsys):
+    rc = run(["interpolate", "--check", check, "--m", "[0.5]", "--q", "[0.5]",
+              "--r", "[]", "--N", "2", "--b", "10", "--replicas", "10"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nonempty list" in captured.err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_bad_tolerance_exits_two(tolerance, capsys):
+    rc = run(["cascade", "--m", "[0.5]", "--q", "[0.5]", "--b", "10", "--replicas", "20",
+              "--tolerance", tolerance])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tolerance must be finite and >= 0" in captured.err
+
+
+def test_zero_tolerance_is_valid():
+    assert resolve_config("cascade", {}, {"tolerance": 0}).tolerance == 0.0
+
+
 @pytest.mark.parametrize(
     "fault",
     [

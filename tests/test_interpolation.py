@@ -1,6 +1,7 @@
 """Joint Gibbs systems on the interpolation path and their identities."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -210,6 +211,24 @@ def test_coupled_system_normalized():
     system = build_coupled_system(2, 0.5, 1, sk_mixture(0.6), RSB1, 40, 0.3, seed=17)
     assert system.gamma.shape == (4, 4, 40)
     assert system.normalization_error() < 1e-10
+
+
+def test_coupled_system_stays_below_one_joint_array():
+    # The factored measure never holds a (2^N, 2^N, b^k) array: a build
+    # and read at N = 4, b = 40, k = 2 peaks below the size of one such
+    # float array.
+    joint_bytes = 4**4 * 40**2 * 8
+    tracemalloc.start()
+    try:
+        for r in (1, 2):
+            build_coupled_system(
+                4, 0.5, r, sk_mixture(0.6), RSB2, 40, 0.3, seed=5
+            ).delta_average()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak < joint_bytes, (r, peak)
+            tracemalloc.reset_peak()
+    finally:
+        tracemalloc.stop()
 
 
 def test_error_term_factorization_small():
