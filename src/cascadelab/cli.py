@@ -59,6 +59,7 @@ from .recursion import (
     optimize_bound,
     phi0,
 )
+from .seeding import derive_word
 from .sk_model import exact_free_energy, verify_bound
 from .stats import Exact, identity_check
 
@@ -111,13 +112,20 @@ _STR_KEYS = ("mark_family", "statistic", "check", "preset")
 _PATH_KEYS = ("json_out", "csv_out")
 
 
+def _finite(value: float, key: str) -> float:
+    """A float option's value; inf and nan are usage errors, not inputs."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
+
+
 def _as_float_list(value, key: str) -> list:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
+        return [_finite(float(value), key)]
     if isinstance(value, (list, tuple)) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     ):
-        return [float(v) for v in value]
+        return [_finite(float(v), key) for v in value]
     raise ConfigError(f"{key} must be a number or a list of numbers, got {value!r}")
 
 
@@ -137,7 +145,7 @@ def _validated(key: str, value):
             raise ConfigError(f"{key} must be a number, got {value!r}")
         if key == "tolerance" and not 0.0 <= value < math.inf:
             raise ConfigError(f"tolerance must be finite and >= 0, got {value}")
-        return float(value)
+        return _finite(float(value), key)
     if key in _STR_KEYS:
         if not isinstance(value, str):
             raise ConfigError(f"{key} must be a string, got {value!r}")
@@ -155,7 +163,7 @@ def _validated(key: str, value):
         for item in value:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ConfigError(f"mixture entries must be [p, beta] pairs, got {item!r}")
-            pairs.append([item[0], float(item[1])])
+            pairs.append([item[0], _finite(float(item[1]), "mixture beta")])
         return pairs
     if key == "r":
         if value is None:
@@ -299,8 +307,7 @@ def child_seed(master: int, index: int) -> int:
     Distinct indices give statistically independent downstream streams;
     the same (master, index) always gives the same integer.
     """
-    ss = np.random.SeedSequence(master, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return derive_word(master, index)
 
 
 # ---------------------------------------------------------------------------

@@ -132,12 +132,12 @@ class GibbsSystem:
     log_norm: float = field(init=False)
 
     def __post_init__(self):
-        expo = (
-            np.sqrt(self.t) * self.table.values[:, None]
-            + np.sqrt(1.0 - self.t) * self.tilt
-            + self.h * spin_sums(self.N)[:, None]
-            + np.log(self.cascade.leaf_weights_flat())[None, :]
-        )
+        # One (2^N, b^k) buffer; addition commutes exactly, so starting
+        # from the tilt term keeps the bits of the left-to-right sum.
+        expo = np.multiply(np.sqrt(1.0 - self.t), self.tilt)
+        expo += np.sqrt(self.t) * self.table.values[:, None]
+        expo += self.h * spin_sums(self.N)[:, None]
+        expo += np.log(self.cascade.leaf_weights_flat())[None, :]
         self.gamma, self.log_norm = _gibbs_weights(
             expo, "joint weights failed to normalize"
         )

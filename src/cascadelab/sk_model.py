@@ -85,13 +85,21 @@ def monomial_signs(N: int, masks) -> np.ndarray:
 
     Column j is the product of the sigma_i over the sites of masks[j]
     (the empty product 1 for mask 0), in the row order of ``spin_matrix``.
+    The table is built once per (N, masks) and shared, so it is read-only.
     """
+    return _monomial_signs(N, tuple(masks))
+
+
+@lru_cache(maxsize=8)
+def _monomial_signs(N: int, masks: tuple) -> np.ndarray:
     spins = spin_matrix(N)
     cols = []
     for mask in masks:
         sites = [i for i in range(N) if (mask >> i) & 1]
         cols.append(spins[:, sites].prod(axis=1))
-    return np.stack(cols, axis=1) if cols else np.zeros((2**N, 0))
+    signs = np.stack(cols, axis=1) if cols else np.zeros((2**N, 0))
+    signs.flags.writeable = False
+    return signs
 
 
 def spin_sums(N: int) -> np.ndarray:

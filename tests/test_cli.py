@@ -84,6 +84,15 @@ def test_child_seed_stable_and_distinct():
     assert 0 <= a < 2**64
 
 
+def test_child_seed_equals_the_seedsequence_word():
+    import numpy as np
+
+    for master in (0, 1, 2**32, 2**70):
+        for index in (0, 1, 2**32, 2**70):
+            old = np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1, np.uint64)
+            assert child_seed(master, index) == int(old[0])
+
+
 def test_pd_run_writes_report(tmp_path, capsys):
     out = tmp_path / "pd.json"
     rc = run(
@@ -356,3 +365,35 @@ def test_config_keys_are_the_defaults():
     assert list(cfg.values_dict()) == list(cli._DEFAULTS)
     with pytest.raises(AttributeError):
         cfg.no_such_key
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--h", "inf", "--m", "[1.0]", "--q", "[0.5]"],
+        ["interpolate", "--check", "phi", "--h", "nan", "--N", "2", "--b", "10",
+         "--replicas", "10"],
+        ["interpolate", "--t", "nan", "--N", "2", "--b", "10", "--replicas", "10"],
+        ["interpolate", "--check", "derivative", "--step", "inf", "--N", "2", "--b", "10",
+         "--replicas", "10"],
+        ["bound", "--m", "[1.0]", "--q", "[1e999]"],
+        ["cascade", "--m", "[0.5, 1e999]", "--q", "[0.3, 0.6]", "--b", "10"],
+        ["interpolate", "--t-grid", "[0.0, -1e999]", "--N", "2", "--b", "10"],
+    ],
+)
+def test_non_finite_float_option_exits_two(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text", ["h = 1e999\n", "t = -1e999\n", "q = [1e999]\n", "mixture = [[2, 1e999]]\n",
+             "mixture = [[2, 1.0], [4, -1e999]]\n"],
+)
+def test_non_finite_config_file_value_exits_two(text, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert run(["bound", "--config", str(path), "--m", "[1.0]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err

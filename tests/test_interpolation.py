@@ -25,7 +25,7 @@ from cascadelab.interpolation import (
 )
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import QuadratureSpec, phi0
-from cascadelab.sk_model import exact_free_energy
+from cascadelab.sk_model import exact_free_energy, spin_sums
 from cascadelab.stats import Estimate, Exact, identity_check
 
 LOG2COSH_HALF = math.log(2.0 * math.cosh(0.5))
@@ -43,6 +43,20 @@ def test_system_construction_invariants():
     assert system.leaf_masses().sum() == pytest.approx(1.0, abs=1e-10)
     assert system.phi_value() == pytest.approx(system.log_norm / 3.0, rel=1e-12)
     assert np.all(system.gamma >= 0.0)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_system_exponent_matches_the_four_term_sum(t):
+    # Oracle: the exponent as one left-to-right sum of the four terms.
+    system = build_system(3, t, sk_mixture(0.6), RSB2, 20, 0.3, seed=(123, 4))
+    expo = (
+        np.sqrt(t) * system.table.values[:, None]
+        + np.sqrt(1.0 - t) * system.tilt
+        + 0.3 * spin_sums(3)[:, None]
+        + np.log(system.cascade.leaf_weights_flat())[None, :]
+    )
+    gamma, log_norm = interpolation._gibbs_weights(expo, "oracle")
+    assert np.array_equal(system.gamma, gamma) and system.log_norm == log_norm
 
 
 def test_degenerate_mixture_phi_is_log2cosh():

@@ -1,6 +1,8 @@
 """Reproducibility: stream derivation and worker-independent chunking."""
 
 import os
+import pickle
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from cascadelab.seeding import (
     CHUNK_SIZE,
     MODULE_CASCADE,
     MODULE_FIELDS,
+    PREFIX_CACHE_SIZE,
+    _prefix_pool,
     derive_rng,
+    derive_word,
     run_replicas,
     stream_key,
     worker_count,
@@ -42,6 +47,98 @@ def test_tree_streams_match_spawn_key_layout():
             new = derive_rng(*base, module, *key)
             assert np.array_equal(new.standard_normal(8), old.standard_normal(8))
     assert stream_key(9) == (9,) and stream_key([1, 2]) == (1, 2)
+
+
+def _oracle(master, *key):
+    return np.random.default_rng(np.random.SeedSequence(master, spawn_key=key))
+
+
+def _assert_same_stream(master, *key):
+    new, old = derive_rng(master, *key), _oracle(master, *key)
+    assert new.bit_generator.state == old.bit_generator.state, (master, key)
+    assert np.array_equal(new.standard_normal(4), old.standard_normal(4)), (master, key)
+    assert np.array_equal(new.integers(0, 2**63, 3), old.integers(0, 2**63, 3))
+
+
+MASTERS = (0, 1729, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**130)
+
+
+def test_derive_rng_matches_seedsequence_on_random_keys():
+    rng = random.Random(20070)
+    for _ in range(600):
+        master = rng.choice(MASTERS + (rng.getrandbits(rng.randint(1, 140)),))
+        key = tuple(
+            rng.choice((0, 1, 7, rng.getrandbits(rng.randint(1, 40))))
+            for _ in range(rng.randint(0, 6))
+        )
+        _assert_same_stream(master, *key)
+
+
+SEQUENCE_MASTERS = ((101, 0), [3, 2**40], range(3), np.array([1, 2], dtype=np.uint32),
+                    ((1, 2), 3), (), (2**130, np.int64(7)))
+
+
+@pytest.mark.parametrize("master", MASTERS + SEQUENCE_MASTERS)
+def test_derive_rng_matches_seedsequence_on_wide_and_numpy_words(master):
+    _assert_same_stream(master)
+    for key in (
+        (1 << 20,),
+        (6, 1 << 20, 3),
+        (2**32, 5),
+        (3, 2**40 + 5, 2**64, 0),
+        (np.int64(6), np.uint32(2), np.uint64(2**63 + 1)),
+        (np.int64(0), 4, np.int8(1)),
+    ):
+        _assert_same_stream(master, *key)
+    assert derive_word(master, 2) == int(
+        np.random.SeedSequence(master, spawn_key=(2,)).generate_state(1, np.uint64)[0]
+    )
+
+
+def test_derive_rng_same_after_prefix_cache_overflow():
+    a, b = (1729, 6, 2, 11, 3, 1), (1729, 7, 2, 11, 3, 1)
+    first_a = derive_rng(*a).bit_generator.state
+    first_b = derive_rng(*b).bit_generator.state
+    for parent in range(PREFIX_CACHE_SIZE + 10):  # evicts every prefix of a
+        derive_rng(99, 3, parent, 0)
+    info = _prefix_pool.cache_info()
+    assert info.currsize <= PREFIX_CACHE_SIZE
+    assert derive_rng(*a).bit_generator.state == first_a == _oracle(*a).bit_generator.state
+    assert _prefix_pool.cache_info().misses > info.misses  # a's prefixes were rebuilt
+    assert derive_rng(*b).bit_generator.state == first_b == _oracle(*b).bit_generator.state
+    assert first_a != first_b
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1,), (7, -1), (7, 1, -2), (7, 1.0), (7, 1.0, 2), (7, 1, 2.5), (7, np.float64(3.0), 1),
+     (1.5, 2), (-3, 2), ((1.0, 2), 5), ([1, -2], 5)],
+)
+def test_bad_words_raise_like_seedsequence(args):
+    # Cache the integer prefixes that 1.0, 3.0 and (1.0, 2) compare equal to.
+    for prefix in ((7, 1, 2), (7, 3, 1), ((1, 2), 5)):
+        derive_rng(*prefix)
+    expected = _raised(_oracle, *args)
+    assert expected in (TypeError, ValueError)
+    with pytest.raises(expected):
+        derive_rng(*args)
+
+
+def test_derived_stream_pickles_and_holds_only_its_seed():
+    rng = derive_rng(1729, 6, 3)
+    rng.standard_normal(5)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert np.array_equal(copy.standard_normal(6), rng.standard_normal(6))
+    with pytest.raises(ValueError):
+        rng.bit_generator.seed_seq.generate_state(2, np.uint32)
 
 
 def _chunk(args, master, start, stop):

@@ -14,6 +14,7 @@ from cascadelab.sk_model import (
     exact_free_energy,
     hamiltonian_covariance,
     log_partition,
+    _monomial_signs,
     monomial_signs,
     monomial_variances,
     sample_hamiltonian,
@@ -188,3 +189,17 @@ def test_verify_bound_optimized_mode():
     assert len(rec.extras["params_m"]) == 2
     assert len(rec.extras["params_q"]) == 3
     assert rec.rhs == pytest.approx(math.log(2.0) + 0.25 / 4.0, abs=1e-3)
+
+
+def test_monomial_signs_built_once_and_read_only():
+    N, mix = 4, make_mixture([(1, 0.3), (2, 0.9), (4, 0.4)])
+    first = sample_hamiltonian(N, mix, seed=3)
+    second = sample_hamiltonian(N, mix, seed=4)
+    assert second.signs is first.signs
+    assert monomial_signs(N, list(first.masks)) is first.signs
+    assert not first.signs.flags.writeable
+    with pytest.raises(ValueError):
+        first.signs[0, 0] = 0.0
+    fresh = _monomial_signs.__wrapped__(N, first.masks)
+    assert fresh.flags.writeable is False and np.array_equal(fresh, first.signs)
+    assert _monomial_signs.cache_info().maxsize is not None
