@@ -35,7 +35,7 @@ from .seeding import (
     MODULE_COUPLED,
     MODULE_FIELDS,
     MODULE_MARKS,
-    derive_rng,
+    derive_node_rngs,
     run_replicas,
     stream_key,
 )
@@ -178,6 +178,20 @@ class Cascade:
         return np.append(a[:-1] + a[1:], a[-1])
 
 
+def _node_rngs(base: tuple, b: int, modules: dict) -> list:
+    """Per level, the generators of streams (base, module, level, parent).
+
+    ``modules`` maps each level to its stream module; the root (level 0)
+    has the one parent 0 and level l >= 1 has b^(l-1).  The whole tree
+    takes one hash pass.
+    """
+    blocks = [
+        (base[1:] + (module, level), b ** max(level - 1, 0))
+        for level, module in modules.items()
+    ]
+    return derive_node_rngs(base[0], blocks)
+
+
 def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
     """Sample one cascade; deterministic in (rsb, b, seed).
 
@@ -191,14 +205,13 @@ def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
         raise ValueError("branching b must be at least 2")
     if b**rsb.k > MAX_LEAVES:
         raise ValueError(f"leaf count {b**rsb.k} exceeds {MAX_LEAVES}")
-    base = stream_key(seed)
+    rngs = _node_rngs(stream_key(seed), b, dict.fromkeys(range(1, rsb.k + 1), MODULE_CASCADE))
     levels, sums, tails = [], [], []
-    for level in range(1, rsb.k + 1):
+    for level, level_rngs in enumerate(rngs, start=1):
         m = rsb.m[level]
-        parents = b ** (level - 1)
-        block = np.empty((parents, b))
-        for j in range(parents):
-            _sample_points(derive_rng(*base, MODULE_CASCADE, level, j), m, b, out=block[j])
+        block = np.empty((len(level_rngs), b))
+        for j, rng in enumerate(level_rngs):
+            _sample_points(rng, m, b, out=block[j])
         shape = (b,) * level
         levels.append(block.reshape(shape))
         sums.append(block.sum(axis=1).reshape(shape[:-1]))
@@ -254,12 +267,10 @@ def sample_marks(b: int, k: int, taus, base: tuple):
     Drawn in per-parent blocks from (seed, MODULE_MARKS, level, parent),
     so a node's mark is a function of the seed and its path alone.
     """
+    rngs = _node_rngs(base, b, dict.fromkeys(range(1, k + 1), MODULE_MARKS))
     marks = []
-    for level in range(1, k + 1):
-        parents = b ** (level - 1)
-        block = np.empty((parents, b))
-        for j in range(parents):
-            block[j] = derive_rng(*base, MODULE_MARKS, level, j).standard_normal(b)
+    for level, level_rngs in enumerate(rngs, start=1):
+        block = np.array([rng.standard_normal(b) for rng in level_rngs])
         marks.append(taus[level - 1] * block.reshape((b,) * level))
     return marks
 
@@ -482,10 +493,6 @@ class CascadeFields:
     def k(self) -> int:
         return len(self.column_stds) - 1
 
-    def _columns(self, level: int, parent: int, shape) -> np.ndarray:
-        rng = derive_rng(*self.base, self.modules[level], level, parent)
-        return self.column_stds[level] * rng.standard_normal(shape)
-
     def all_fields(self) -> np.ndarray:
         """Leaf-by-site field matrix, shape (b^k, N), row-major leaf order.
 
@@ -493,11 +500,11 @@ class CascadeFields:
         1, 2, ..., k.
         """
         b, k, N = self.b, self.k, self.N
-        total = np.tile(self._columns(0, 0, N), (b**k, 1))
+        stds = self.column_stds
+        rngs = _node_rngs(self.base, b, dict(enumerate(self.modules)))
+        total = np.tile(stds[0] * rngs[0][0].standard_normal(N), (b**k, 1))
         for level in range(1, k + 1):
-            rows = np.vstack(
-                [self._columns(level, j, (b, N)) for j in range(b ** (level - 1))]
-            )
+            rows = stds[level] * np.vstack([rng.standard_normal((b, N)) for rng in rngs[level]])
             total += np.repeat(rows, b ** (k - level), axis=0)
         return total
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cascade import (
     TAIL_ACCURACY,
@@ -32,7 +31,13 @@ from .cascade import (
 )
 from .mixture import MixtureFunction, RSBParams, delta_array, theta
 from .seeding import MODULE_INTERP, MODULE_SK, derive_rng, run_replicas, stream_key
-from .sk_model import HamiltonianTable, sample_hamiltonian, spin_matrix, spin_sums
+from .sk_model import (
+    HamiltonianTable,
+    logsumexp,
+    sample_hamiltonian,
+    spin_matrix,
+    spin_sums,
+)
 from .stats import CheckRecord, Estimate, identity_check
 
 MAX_JOINT_SITES = 8
@@ -86,12 +91,13 @@ def _sample_disorder(N, mixture, rsb, cascade_rsb, b, seed):
 def _gibbs_weights(expo, message, axis=None):
     """exp(expo - log Z) and log Z, normalized over ``axis`` (all by default).
 
-    Every slice along ``axis`` is checked to sum to one; log Z is a float
-    for the whole array and one value per slice otherwise.
+    Every slice along ``axis`` is checked to sum to one, and a non-finite
+    sum fails the check; log Z is a float for the whole array and one
+    value per slice otherwise.
     """
     log_norm = logsumexp(expo, axis=axis, keepdims=True)
     gamma = np.exp(expo - log_norm)
-    if np.max(np.abs(gamma.sum(axis=axis) - 1.0)) > NORMALIZATION_TOL:
+    if not np.max(np.abs(gamma.sum(axis=axis) - 1.0)) <= NORMALIZATION_TOL:
         raise AssertionError(message)
     return gamma, log_norm.item() if axis is None else log_norm.squeeze(axis)
 

@@ -11,7 +11,9 @@ O'Neill 2014, *PCG*).  Key words enter the pool one at a time, after the
 master fills it, so the pool for a key extends that of its prefix.
 Sibling tree nodes share every key word but the last, and a memoized
 prefix pool leaves each stream to pay only for its last word and the
-output hash.
+output hash.  ``derive_node_rngs`` runs that same hash over a uint64
+array of last words, one row per node, so all nodes of a tree take one
+hash pass; ``derive_rng`` serves single streams.
 """
 
 from __future__ import annotations
@@ -147,12 +149,17 @@ def _prefix_pool(master, *prefix) -> tuple:
     return _absorb(tuple(pool), const, words[_POOL_SIZE:])
 
 
+def _cache_master(master):
+    """``master`` as ``_prefix_pool`` caches it: an int, or its words.
+
+    A tuple master holding 1.0 must not read the entry of one holding 1.
+    """
+    return master if type(master) is int else _entropy_words(master)
+
+
 def _pool(master, key: tuple) -> tuple:
     """The pool of SeedSequence(master, spawn_key=key)."""
-    if type(master) is not int:
-        # Cached as its words: a tuple master holding 1.0 must not read the
-        # entry of one holding 1.
-        master = _entropy_words(master)
+    master = _cache_master(master)
     if not key:
         return _prefix_pool(master)[0]
     return _absorb(*_prefix_pool(master, *key[:-1]), _words(key[-1]))[0]
@@ -220,6 +227,33 @@ def derive_rng(master: int, *key: int) -> np.random.Generator:
     """
     words = np.array(_state_words(_pool(master, key), 4), dtype=np.uint64)
     return np.random.Generator(np.random.PCG64(_StreamState(words)))
+
+
+def derive_node_rngs(master, blocks) -> list:
+    """The generators of a tree's nodes, from one hash pass over their keys.
+
+    ``blocks`` holds (prefix, count) pairs, one per tree level; block i
+    gives the list ``[derive_rng(master, *prefix_i, j) for j < count_i]``,
+    bit for bit.  Each row starts from its prefix's memoized pool and
+    absorbs its parent index j as uint64 array arithmetic, which keeps the
+    low 32 bits that the hash reads; rows whose prefixes hold equally many
+    words share the hash-constant chain, so a tree whose level keys have
+    one length takes a single pass.  A parent index is one key word
+    (j < 2^32).
+    """
+    master = _cache_master(master)
+    starts = [_prefix_pool(master, *prefix) for prefix, _ in blocks]
+    counts = [count for _, count in blocks]
+    pools = np.repeat(np.array([pool for pool, _ in starts], dtype=np.uint64), counts, axis=0)
+    parents = np.concatenate([np.arange(count, dtype=np.uint64) for count in counts])
+    states = np.empty_like(pools)
+    for const in {const for _, const in starts}:
+        rows = np.repeat([c == const for _, c in starts], counts)
+        pool, _ = _absorb(tuple(pools[rows].T), const, [parents[rows]])
+        states[rows] = np.stack(_state_words(pool, 4), axis=1)
+    rngs = [np.random.Generator(np.random.PCG64(_StreamState(words))) for words in states]
+    ends = np.cumsum(counts).tolist()
+    return [rngs[end - count:end] for count, end in zip(counts, ends)]
 
 
 def worker_count() -> int:

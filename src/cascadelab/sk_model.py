@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .mixture import MixtureFunction
 from .seeding import MODULE_SK, derive_rng, run_replicas
@@ -70,14 +69,18 @@ def monomial_variances(N: int, mix: MixtureFunction) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def spin_matrix(N: int) -> np.ndarray:
     """All configurations as +-1 rows, shape (2^N, N).
 
     Row s encodes sigma_i = 1 - 2 * bit_i(s); every other spin table
-    derives from this one.
+    derives from this one.  The table is built once per N and shared, so
+    it is read-only.
     """
     bits = (np.arange(2**N)[:, None] >> np.arange(N)[None, :]) & 1
-    return (1 - 2 * bits).astype(float)
+    spins = (1 - 2 * bits).astype(float)
+    spins.flags.writeable = False
+    return spins
 
 
 def monomial_signs(N: int, masks) -> np.ndarray:
@@ -102,9 +105,15 @@ def _monomial_signs(N: int, masks: tuple) -> np.ndarray:
     return signs
 
 
+@lru_cache(maxsize=None)
 def spin_sums(N: int) -> np.ndarray:
-    """sum_i sigma_i for every configuration, in the same row order."""
-    return spin_matrix(N).sum(axis=1)
+    """sum_i sigma_i for every configuration, in the same row order.
+
+    Built once per N and shared read-only, as ``spin_matrix`` is.
+    """
+    sums = spin_matrix(N).sum(axis=1)
+    sums.flags.writeable = False
+    return sums
 
 
 @dataclass
@@ -174,6 +183,29 @@ def hamiltonian_covariance(
         _covariance_chunk, (N, mix, tuple(sigma1), tuple(sigma2)), seed, replicas
     )
     return Estimate.from_values(vals / N)
+
+
+def logsumexp(a, axis=None, keepdims=False):
+    """log sum exp(a) over ``axis`` (all axes by default), in float64.
+
+    The steps and bits of ``scipy.special.logsumexp`` at scipy 1.17
+    (Blanchard, Higham and Higham 2021): the entries equal to the max are
+    counted, not summed, so the result is log1p(s) + log(count) + max with
+    s the sum of the other entries' exp(a - max) over the count.  An
+    all -inf slice gives -inf, a +inf entry +inf and a NaN entry NaN; an
+    empty slice raises ValueError, where scipy returns -inf.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    a_max = a.max(axis=axes, keepdims=True)
+    at_max = a == a_max
+    count = at_max.sum(axis=axes, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.exp(a - a_max)
+        terms[at_max] = 0.0
+        s = terms.sum(axis=axes, keepdims=True) / count
+        out = np.log1p(s) + np.log(count) + a_max
+    return out if keepdims else out.squeeze(axis=axes)[()]
 
 
 def log_partition(table: HamiltonianTable, h: float) -> float:

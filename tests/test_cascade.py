@@ -35,7 +35,13 @@ from cascadelab.interpolation import (
 from cascadelab.mixture import RSBParams, delta_array, make_mixture, sk_mixture
 from cascadelab.pd_process import sample_pd
 from cascadelab.recursion import QuadratureSpec
-from cascadelab.seeding import MODULE_COUPLED, MODULE_FIELDS, MODULE_SK, derive_rng
+from cascadelab.seeding import (
+    MODULE_COUPLED,
+    MODULE_FIELDS,
+    MODULE_MARKS,
+    MODULE_SK,
+    derive_rng,
+)
 from cascadelab.sk_model import sample_hamiltonian, spin_matrix, spin_sums
 from cascadelab.stats import Estimate, Exact, identity_check
 
@@ -297,6 +303,17 @@ def test_build_cascade_blocks_match_formula():
         for j, row in enumerate(block):
             rng = derive_rng(5, MODULE_CASCADE, level, j)
             assert np.array_equal(row, _oracle_sample_points(rng, RSB2.m[level], 30))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sample_marks_match_per_node_streams(k):
+    b, taus, base = 5, (0.7, 1.3, 0.4)[:k], (31, 4, 2)
+    marks = sample_marks(b, k, taus, base)
+    assert [m.shape for m in marks] == [(b,) * level for level in range(1, k + 1)]
+    for level in range(1, k + 1):
+        for j, row in enumerate(marks[level - 1].reshape(-1, b)):
+            rng = derive_rng(*base, MODULE_MARKS, level, j)
+            assert np.array_equal(row, taus[level - 1] * rng.standard_normal(b))
 
 
 def test_overlap_masses_match_per_level_values():

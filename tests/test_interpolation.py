@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -57,6 +58,20 @@ def test_system_exponent_matches_the_four_term_sum(t):
     )
     gamma, log_norm = interpolation._gibbs_weights(expo, "oracle")
     assert np.array_equal(system.gamma, gamma) and system.log_norm == log_norm
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("axis", [None, 0])
+def test_gibbs_weights_reject_a_non_finite_tilt(bad, axis):
+    system = build_system(2, 0.5, sk_mixture(0.6), RSB2, 6, 0.3, seed=7)
+    expo = system.tilt.copy()
+    interpolation._gibbs_weights(expo, "finite tilt", axis=axis)
+    expo[1, 4] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(AssertionError, match="non-finite tilt"):
+            interpolation._gibbs_weights(expo, "non-finite tilt", axis=axis)
+        with pytest.raises(AssertionError, match="joint weights"):
+            replace(system, tilt=expo)
 
 
 def test_degenerate_mixture_phi_is_log2cosh():

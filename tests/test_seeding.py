@@ -13,6 +13,7 @@ from cascadelab.seeding import (
     MODULE_FIELDS,
     PREFIX_CACHE_SIZE,
     _prefix_pool,
+    derive_node_rngs,
     derive_rng,
     derive_word,
     run_replicas,
@@ -130,6 +131,72 @@ def test_bad_words_raise_like_seedsequence(args):
     assert expected in (TypeError, ValueError)
     with pytest.raises(expected):
         derive_rng(*args)
+
+
+def _assert_same_node_streams(master, blocks):
+    got = derive_node_rngs(master, blocks)
+    assert [len(rngs) for rngs in got] == [count for _, count in blocks]
+    for (prefix, _), rngs in zip(blocks, got):
+        for j, rng in enumerate(rngs):
+            old = _oracle(master, *prefix, j)
+            assert rng.bit_generator.state == old.bit_generator.state, (master, prefix, j)
+            assert np.array_equal(rng.standard_normal(3), old.standard_normal(3))
+
+
+def test_node_streams_match_seedsequence_on_random_prefixes():
+    # Prefix lengths and word widths vary within one call, so rows with
+    # different hash-constant chains meet in one call too.
+    rng = random.Random(20071)
+    for _ in range(60):
+        master = rng.choice(MASTERS + ((101, 0), (2**130, 5), rng.getrandbits(140)))
+        blocks = [
+            (
+                tuple(
+                    rng.choice((0, 3, rng.getrandbits(rng.randint(1, 70))))
+                    for _ in range(rng.randint(0, 5))
+                ),
+                rng.choice((0, 1, 2, 7)),
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        _assert_same_node_streams(master, blocks)
+
+
+@pytest.mark.parametrize("master", (1729, 2**128 + 5, (3, 2**40), (1, 2)))
+def test_node_streams_of_a_tree_match_seedsequence(master):
+    for counts in ((1,), (2,), (200,), (1, 40, 3)):
+        blocks = [((6, 2, 11, MODULE_FIELDS, level), count) for level, count in enumerate(counts)]
+        _assert_same_node_streams(master, blocks)
+    # numpy-integer prefix words, and an empty block between two others
+    blocks = [((np.int64(6), np.uint32(2)), 3), ((np.uint64(2**63 + 1),), 0), ((np.int8(1), 4), 2)]
+    _assert_same_node_streams(master, blocks)
+
+
+def test_node_streams_same_after_prefix_cache_overflow():
+    blocks = [((6, 2, MODULE_CASCADE, 1), 1), ((6, 2, MODULE_CASCADE, 2), 5)]
+    first = [[r.bit_generator.state for r in rngs] for rngs in derive_node_rngs(1729, blocks)]
+    for parent in range(PREFIX_CACHE_SIZE + 10):  # evicts both prefixes
+        derive_rng(99, 3, parent, 0)
+    misses = _prefix_pool.cache_info().misses
+    again = [[r.bit_generator.state for r in rngs] for rngs in derive_node_rngs(1729, blocks)]
+    assert _prefix_pool.cache_info().misses > misses
+    assert again == first
+    _assert_same_node_streams(1729, blocks)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1, ()), (7, (-1,)), (7, (1, -2)), (7, (1.0,)), (7, (1.0, 2)), (7, (1, 2.5)),
+     (7, (np.float64(3.0),)), (1.5, (2,)), ((1.0, 2), (5,)), ([1, -2], (5,))],
+)
+def test_node_streams_bad_words_raise_like_derive_rng(args):
+    master, prefix = args
+    for cached in ((7, 1, 2), (7, 3), ((1, 2), 5)):
+        derive_rng(*cached, 0)
+    expected = _raised(derive_rng, master, *prefix, 0)
+    assert expected in (TypeError, ValueError)
+    with pytest.raises(expected):
+        derive_node_rngs(master, [((), 2), (prefix, 3)])
 
 
 def test_derived_stream_pickles_and_holds_only_its_seed():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from cascadelab.sk_model import (
     exact_free_energy,
     hamiltonian_covariance,
     log_partition,
+    logsumexp,
     _monomial_signs,
     monomial_signs,
     monomial_variances,
@@ -203,3 +206,65 @@ def test_monomial_signs_built_once_and_read_only():
     fresh = _monomial_signs.__wrapped__(N, first.masks)
     assert fresh.flags.writeable is False and np.array_equal(fresh, first.signs)
     assert _monomial_signs.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("N", [1, 4, 9])
+def test_spin_tables_built_once_and_read_only(N):
+    spins, sums = spin_matrix(N), spin_sums(N)
+    assert spin_matrix(N) is spins and spin_sums(N) is sums
+    assert not spins.flags.writeable and not sums.flags.writeable
+    with pytest.raises(ValueError):
+        spins[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        sums[0] = 0.0
+    fresh = spin_matrix.__wrapped__(N)
+    assert np.array_equal(fresh, spins) and fresh.dtype == spins.dtype
+    assert np.array_equal(spin_sums.__wrapped__(N), fresh.sum(axis=1))
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        shape = tuple(int(n) for n in rng.integers(1, 7, size=rng.integers(1, 3)))
+        a = rng.normal(size=shape) * rng.choice([1.0, 40.0, 700.0])
+        if rng.random() < 0.3:
+            a = np.round(a)  # ties at the max
+        if rng.random() < 0.3:
+            a.flat[rng.integers(a.size)] = rng.choice([np.inf, -np.inf, np.nan])
+        yield a
+    yield np.full((3, 4), -np.inf)
+    yield np.array([[1.0, np.inf, np.inf], [-np.inf, 2.0, 2.0]])
+    yield np.array([[np.nan, 0.0], [-np.inf, -np.inf]])
+    yield np.zeros((16, 1600))
+    yield rng.normal(size=(16, 1600)) * 3.0
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (
+        x.shape == y.shape
+        and np.array_equal(x, y, equal_nan=True)
+        and np.array_equal(np.signbit(x), np.signbit(y))
+    )
+
+
+def test_logsumexp_matches_scipy():
+    # scipy 1.17 separates the maxima from the sum; older releases sum
+    # every term, so only closeness holds there.
+    exact = scipy.__version__.startswith("1.17.")
+    for a in _logsumexp_cases():
+        for axis in (None,) + tuple(range(a.ndim)):
+            for keepdims in (False, True):
+                got = logsumexp(a, axis=axis, keepdims=keepdims)
+                with np.errstate(all="ignore"):
+                    want = scipy.special.logsumexp(a, axis=axis, keepdims=keepdims)
+                assert type(got) is type(want)
+                if exact:
+                    assert _same_bits(got, want), (a, axis, keepdims)
+                else:
+                    assert np.shape(got) == np.shape(want)
+                    assert np.allclose(got, want, rtol=1e-14, atol=1e-15, equal_nan=True)
+    assert logsumexp(np.full(5, -np.inf)) == -np.inf
+    assert np.isnan(logsumexp([0.0, np.nan]))
+    with pytest.raises(ValueError):
+        logsumexp(np.zeros((2, 0)), axis=1)
