@@ -7,12 +7,18 @@ that live per-node Gaussian marks (scalar, variance chosen per level)
 and per-node Gaussian field columns (R^N, variance xi'(q_{l+1}) -
 xi'(q_l)), giving leaf fields with covariance xi'(q_{wedge}).
 
-Every estimator here is Monte Carlo over independent cascade replicas,
-with per-node streams derived from (seed, operation, replica, level,
-parent), so results are independent of traversal order and worker
-count.  Truncation allowances are computed per realization from the
-conditional mean of the mass below each node's smallest kept point and
-attached to the estimates; see the per-operation notes.
+Every estimator here is Monte Carlo over independent cascade replicas.
+Each tree level is one block drawn from one stream (seed, operation,
+replica, module, level): row j of the level-l block holds the children
+of parent j, and column d is the child parent * b + d.  The parents of
+a level draw i.i.d. children, so one stream per level has the law of one
+per node (Ruelle 1987).  Trees at different b share no draws; since the
+b largest points of a PD process are its first b, a tree at b nested in
+one at a larger b is read off the larger tree by keeping the first b
+children of every kept node.  Truncation allowances are computed per
+realization from the conditional mean of the mass below each node's
+smallest kept point and attached to the estimates; see the
+per-operation notes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .seeding import (
     MODULE_COUPLED,
     MODULE_FIELDS,
     MODULE_MARKS,
-    derive_node_rngs,
+    derive_rng,
     run_replicas,
     stream_key,
 )
@@ -178,40 +184,25 @@ class Cascade:
         return np.append(a[:-1] + a[1:], a[-1])
 
 
-def _node_rngs(base: tuple, b: int, modules: dict) -> list:
-    """Per level, the generators of streams (base, module, level, parent).
-
-    ``modules`` maps each level to its stream module; the root (level 0)
-    has the one parent 0 and level l >= 1 has b^(l-1).  The whole tree
-    takes one hash pass.
-    """
-    blocks = [
-        (base[1:] + (module, level), b ** max(level - 1, 0))
-        for level, module in modules.items()
-    ]
-    return derive_node_rngs(base[0], blocks)
-
-
 def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
     """Sample one cascade; deterministic in (rsb, b, seed).
 
-    Each node's children block comes from the stream (seed, cascade
-    module, level, parent index) through the same inverse-Levy sampler
-    as the flat PD process, so the k=1 cascade is bit-identical to a
-    single PD draw from the matching stream.
+    Level l is a (b^(l-1), b) block, one row of children per parent,
+    drawn from the one stream (seed, cascade module, l) through the same
+    inverse-Levy sampler as the flat PD process, so the k=1 cascade is
+    bit-identical to a single PD draw from the matching stream.
     """
     rsb.requires_simulable()
     if b < 2:
         raise ValueError("branching b must be at least 2")
     if b**rsb.k > MAX_LEAVES:
         raise ValueError(f"leaf count {b**rsb.k} exceeds {MAX_LEAVES}")
-    rngs = _node_rngs(stream_key(seed), b, dict.fromkeys(range(1, rsb.k + 1), MODULE_CASCADE))
+    base = stream_key(seed)
     levels, sums, tails = [], [], []
-    for level, level_rngs in enumerate(rngs, start=1):
+    for level in range(1, rsb.k + 1):
         m = rsb.m[level]
-        block = np.empty((len(level_rngs), b))
-        for j, rng in enumerate(level_rngs):
-            _sample_points(rng, m, b, out=block[j])
+        rng = derive_rng(*base, MODULE_CASCADE, level)
+        block = _sample_points(rng, m, (b ** (level - 1), b))
         shape = (b,) * level
         levels.append(block.reshape(shape))
         sums.append(block.sum(axis=1).reshape(shape[:-1]))
@@ -264,13 +255,12 @@ def overlap_mass(rsb: RSBParams, b: int, replicas: int, seed: int) -> list:
 def sample_marks(b: int, k: int, taus, base: tuple):
     """Per-node scalar Gaussian marks, taus[l-1] the level-l deviation.
 
-    Drawn in per-parent blocks from (seed, MODULE_MARKS, level, parent),
-    so a node's mark is a function of the seed and its path alone.
+    Level l is one (b^(l-1), b) block, a row per parent, from stream
+    (seed, MODULE_MARKS, l).
     """
-    rngs = _node_rngs(base, b, dict.fromkeys(range(1, k + 1), MODULE_MARKS))
     marks = []
-    for level, level_rngs in enumerate(rngs, start=1):
-        block = np.array([rng.standard_normal(b) for rng in level_rngs])
+    for level in range(1, k + 1):
+        block = derive_rng(*base, MODULE_MARKS, level).standard_normal((b ** (level - 1), b))
         marks.append(taus[level - 1] * block.reshape((b,) * level))
     return marks
 
@@ -478,9 +468,9 @@ def weight_tilt_invariance(
 class CascadeFields:
     """Gaussian field columns on the nodes of a depth-k, b-ary tree.
 
-    The b children of parent j at level l (the root: level 0, parent 0)
-    draw their columns from stream (seed, modules[l], l, j), so a column
-    is a function of the seed and its node alone.
+    The root column comes from stream (seed, modules[0], 0) and the
+    b^l columns of level l >= 1 from stream (seed, modules[l], l), one
+    row per node in parent-major order (row parent * b + digit).
     """
 
     b: int
@@ -501,11 +491,11 @@ class CascadeFields:
         """
         b, k, N = self.b, self.k, self.N
         stds = self.column_stds
-        rngs = _node_rngs(self.base, b, dict(enumerate(self.modules)))
-        total = np.tile(stds[0] * rngs[0][0].standard_normal(N), (b**k, 1))
+        root = derive_rng(*self.base, self.modules[0], 0).standard_normal(N)
+        total = np.tile(stds[0] * root, (b**k, 1))
         for level in range(1, k + 1):
-            rows = stds[level] * np.vstack([rng.standard_normal((b, N)) for rng in rngs[level]])
-            total += np.repeat(rows, b ** (k - level), axis=0)
+            rows = derive_rng(*self.base, self.modules[level], level).standard_normal((b**level, N))
+            total += np.repeat(stds[level] * rows, b ** (k - level), axis=0)
         return total
 
     def independent_from(self, r: int) -> "CascadeFields":

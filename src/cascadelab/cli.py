@@ -2,11 +2,11 @@
 
 Configuration comes from an optional ``key = value`` file plus flag
 overrides; flags win.  Every run produces a single JSON report with a
-fixed envelope (config echo, config hash, seed, version, records), and
-optionally a CSV series for grid-valued output.  Reports are serialized
-with sorted keys, so two runs of the same command with the same seed are
-byte-identical apart from the ``generated_at`` field, regardless of the
-worker count.
+fixed envelope (config echo, config hash, seed, stream layout version,
+package version, records), and optionally a CSV series for grid-valued
+output.  Reports are serialized with sorted keys, so two runs of the
+same command with the same seed are byte-identical apart from the
+``generated_at`` field, regardless of the worker count.
 
 Exit status: 0 when every check passed, 1 when at least one failed, 2
 when the configuration was rejected, 3 on an internal fault such as a
@@ -59,7 +59,7 @@ from .recursion import (
     optimize_bound,
     phi0,
 )
-from .seeding import derive_word
+from .seeding import STREAM_VERSION, derive_word
 from .sk_model import exact_free_energy, verify_bound
 from .stats import Exact, identity_check
 
@@ -342,6 +342,7 @@ def build_report(cfg: RunConfig, records: list, result: dict | None) -> dict:
         "config": values,
         "config_hash": config_hash(values),
         "seed": cfg.seed,
+        "stream_version": STREAM_VERSION,
         "version": _package_version(),
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "result": result,

@@ -124,7 +124,10 @@ def _corrected_combo(terms, eps, margin):
 class GibbsSystem:
     """Exact joint measure over (sigma, leaf) at interpolation time t.
 
-    ``at`` reads the same disorder draw at another time.
+    ``at`` reads the same disorder draw at another time.  A system built
+    at t = 1 holds no field tilt, since sqrt(1 - t) = 0 multiplies it
+    away and +-0 + y = y leaves every bit of the exponent unchanged; it
+    refuses to be read at any other time.
     """
 
     N: int
@@ -133,15 +136,23 @@ class GibbsSystem:
     mixture: MixtureFunction
     table: HamiltonianTable
     cascade: Cascade
-    tilt: np.ndarray  # (2^N, b^k), sigma . s^alpha
+    tilt: np.ndarray | None  # (2^N, b^k), sigma . s^alpha; None at t = 1
     gamma: np.ndarray = field(init=False)  # (2^N, b^k), normalized
     log_norm: float = field(init=False)
 
     def __post_init__(self):
         # One (2^N, b^k) buffer; addition commutes exactly, so starting
-        # from the tilt term keeps the bits of the left-to-right sum.
-        expo = np.multiply(np.sqrt(1.0 - self.t), self.tilt)
-        expo += np.sqrt(self.t) * self.table.values[:, None]
+        # from the tilt term, or at t = 1 from H itself, keeps the bits of
+        # the left-to-right sum.
+        if self.tilt is None:
+            if self.t != 1.0:
+                raise RuntimeError(
+                    f"a system built without its field tilt reads only t = 1, not t = {self.t}"
+                )
+            expo = np.repeat(self.table.values[:, None], self.leaf_count, axis=1)
+        else:
+            expo = np.multiply(np.sqrt(1.0 - self.t), self.tilt)
+            expo += np.sqrt(self.t) * self.table.values[:, None]
         expo += self.h * spin_sums(self.N)[:, None]
         expo += np.log(self.cascade.leaf_weights_flat())[None, :]
         self.gamma, self.log_norm = _gibbs_weights(
@@ -248,7 +259,11 @@ def build_system(
     h: float,
     seed,
 ) -> GibbsSystem:
-    """Enumerate Gamma{(sigma, alpha)} for one disorder realization."""
+    """Enumerate Gamma{(sigma, alpha)} for one disorder realization.
+
+    At t = 1 the field columns are never drawn: their weight sqrt(1 - t)
+    is zero, and no other draw reads their streams.
+    """
     _check_joint_budget(N, rsb, b, t)
     cascade, fields, table = _sample_disorder(N, mixture, rsb, rsb, b, seed)
     return GibbsSystem(
@@ -258,7 +273,7 @@ def build_system(
         mixture=mixture,
         table=table,
         cascade=cascade,
-        tilt=spin_matrix(N) @ fields.all_fields().T,
+        tilt=None if t == 1.0 else spin_matrix(N) @ fields.all_fields().T,
     )
 
 

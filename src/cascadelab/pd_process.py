@@ -127,12 +127,16 @@ def sample_pd(m: float, n_max: int, seed) -> PDRealization:
 
 
 def _sample_points(
-    rng: np.random.Generator, m: float, n_max: int, out: np.ndarray | None = None
+    rng: np.random.Generator, m: float, n_max: int | tuple, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """u_n = (m G_n)^(-1/m) from arrival times G_n, in ``out`` if given."""
+    """u_n = (m G_n)^(-1/m) from arrival times G_n, in ``out`` if given.
+
+    ``n_max`` is a point count, or a shape whose rows (last axis) are
+    independent processes drawn in row-major order from the one stream.
+    """
     u = np.empty(n_max) if out is None else out
     rng.standard_exponential(out=u)
-    np.cumsum(u, out=u)
+    np.cumsum(u, axis=-1, out=u)
     u *= m
     u **= -1.0 / m
     return u

@@ -79,11 +79,11 @@ def test_cascade_weights_normalized():
 
 
 def test_cascade_k1_is_flat_pd():
-    # the level-1 block comes from stream (seed, module, level 1, parent 0),
-    # and a single level is exactly one flat PD draw from that stream
+    # the level-1 block comes from stream (seed, module, level 1), and a
+    # single level is exactly one flat PD draw from that stream
     rsb = RSBParams.from_interior((0.6,), (0.5,))
     casc = build_cascade(rsb, 50, 9)
-    flat = sample_pd(0.6, 50, derive_rng(9, MODULE_CASCADE, 1, 0))
+    flat = sample_pd(0.6, 50, derive_rng(9, MODULE_CASCADE, 1))
     assert np.array_equal(casc.w.ravel(), flat.w)
 
 
@@ -267,8 +267,9 @@ def test_leaf_functional_shapes():
 # ---------------------------------------------------------------------------
 
 
-def _oracle_sample_points(rng, m, n_max):
-    gamma = np.cumsum(rng.standard_exponential(n_max))
+def _oracle_sample_points(rng, m, shape):
+    # one PD process per row, the rows drawn in order from one stream
+    gamma = np.cumsum(rng.standard_exponential(shape), axis=-1)
     return (m * gamma) ** (-1.0 / m)
 
 
@@ -297,23 +298,42 @@ def _oracle_wedge_mass(system, r):
 
 
 def test_build_cascade_blocks_match_formula():
-    casc = build_cascade(RSB2, 30, 5)
-    for level in (1, 2):
-        block = casc.levels[level - 1].reshape(-1, 30)
-        for j, row in enumerate(block):
-            rng = derive_rng(5, MODULE_CASCADE, level, j)
-            assert np.array_equal(row, _oracle_sample_points(rng, RSB2.m[level], 30))
+    # Leaf (i, j) reads row 0 of the level-1 block at column i and row i
+    # of the level-2 block at column j, each level one stream.
+    b = 30
+    casc = build_cascade(RSB2, b, 5)
+    blocks = [
+        _oracle_sample_points(
+            _oracle_stream((5,), MODULE_CASCADE, level), RSB2.m[level], (b ** (level - 1), b)
+        )
+        for level in (1, 2)
+    ]
+    for i in range(b):
+        assert casc.levels[0][i] == blocks[0][0, i]
+        for j in range(b):
+            assert casc.levels[1][i, j] == blocks[1][i, j]
+    v = blocks[0][0][:, None] * blocks[1]
+    assert np.array_equal(casc.w, v / v.sum())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sample_marks_match_per_node_streams(k):
+    # Walked leaf path by leaf path: a level-l node's mark is column digit
+    # of row parent of the level-l block, and a child's index is
+    # parent * b + digit.
     b, taus, base = 5, (0.7, 1.3, 0.4)[:k], (31, 4, 2)
     marks = sample_marks(b, k, taus, base)
     assert [m.shape for m in marks] == [(b,) * level for level in range(1, k + 1)]
-    for level in range(1, k + 1):
-        for j, row in enumerate(marks[level - 1].reshape(-1, b)):
-            rng = derive_rng(*base, MODULE_MARKS, level, j)
-            assert np.array_equal(row, taus[level - 1] * rng.standard_normal(b))
+    blocks = [
+        _oracle_stream(base, MODULE_MARKS, level).standard_normal((b ** (level - 1), b))
+        for level in range(1, k + 1)
+    ]
+    for path in np.ndindex((b,) * k):
+        parent = 0
+        for level, digit in enumerate(path, start=1):
+            want = taus[level - 1] * blocks[level - 1][parent, digit]
+            assert marks[level - 1][path[:level]] == want, (path, level)
+            parent = parent * b + digit
 
 
 def test_overlap_masses_match_per_level_values():
@@ -339,10 +359,10 @@ def test_gibbs_masses_match_per_level_values():
 # ---------------------------------------------------------------------------
 # bit identity of the one field assembler
 #
-# The oracles are the assemblers that ``CascadeFields.all_fields`` replaced:
-# the inline two-copy loop of the coupled system and the path walk of the
-# field covariance, with streams spelled as the SeedSequence expression
-# they used.
+# The oracles walk each leaf's path through the level blocks, reading the
+# column of node parent * b + digit, for both copies of the coupled system
+# and for the field covariance, with streams spelled as the SeedSequence
+# expression of the per-level layout.
 # ---------------------------------------------------------------------------
 
 
@@ -355,18 +375,21 @@ def _oracle_stream(base, module, *key):
 def _oracle_coupled_fields(rsb, mixture, N, b, r, base):
     k, leaf_count = rsb.k, b**rsb.k
     stds = np.sqrt(np.maximum(rsb.variances(mixture), 0.0))
-    root = stds[0] * _oracle_stream(base, MODULE_FIELDS, 0, 0).standard_normal(N)
+    root = stds[0] * _oracle_stream(base, MODULE_FIELDS, 0).standard_normal(N)
     fields = [np.tile(root, (leaf_count, 1)), np.tile(root, (leaf_count, 1))]
-    for level in range(1, k + 1):
-        for copy in (0, 1):
-            module = MODULE_FIELDS if copy == 0 or level < r else MODULE_COUPLED
-            rows = np.vstack(
-                [
-                    stds[level] * _oracle_stream(base, module, level, j).standard_normal((b, N))
-                    for j in range(b ** (level - 1))
-                ]
-            )
-            fields[copy] += np.repeat(rows, b ** (k - level), axis=0)
+    for copy in (0, 1):
+        blocks = [
+            _oracle_stream(
+                base, MODULE_FIELDS if copy == 0 or level < r else MODULE_COUPLED, level
+            ).standard_normal((b**level, N))
+            for level in range(1, k + 1)
+        ]
+        # leaf by leaf: its level-l column is row parent * b + digit
+        for leaf, path in enumerate(np.ndindex((b,) * k)):
+            node = 0
+            for level, digit in enumerate(path, start=1):
+                node = node * b + digit
+                fields[copy][leaf] += stds[level] * blocks[level - 1][node]
     return fields
 
 
@@ -474,13 +497,13 @@ def test_field_covariance_matches_path_walk():
     want = np.empty(300)
     for rep in range(300):
         base = (29, _OP_FIELDCOV, rep)
-        root = stds[0] * _oracle_stream(base, MODULE_FIELDS, 0, 0).standard_normal(N)
+        root = stds[0] * _oracle_stream(base, MODULE_FIELDS, 0).standard_normal(N)
         fields = []
         for path in (alpha, beta):
             total, parent = root.copy(), 0
             for level, digit in enumerate(path, start=1):
-                block = _oracle_stream(base, MODULE_FIELDS, level, parent).standard_normal((b, N))
-                total = total + (stds[level] * block)[digit]
+                block = _oracle_stream(base, MODULE_FIELDS, level).standard_normal((b**level, N))
+                total = total + stds[level] * block[parent * b + digit]
                 parent = parent * b + digit
             fields.append(total)
         want[rep] = fields[0][0] * fields[1][1]

@@ -20,6 +20,7 @@ from cascadelab.cli import (
     run,
     serialize_config,
 )
+from cascadelab.seeding import STREAM_VERSION
 
 ENVELOPE_KEYS = {
     "schema_version",
@@ -27,6 +28,7 @@ ENVELOPE_KEYS = {
     "config",
     "config_hash",
     "seed",
+    "stream_version",
     "version",
     "generated_at",
     "result",
@@ -119,6 +121,19 @@ def test_pd_run_writes_report(tmp_path, capsys):
     names = [rec["name"] for rec in report["records"]]
     assert "pd_pair_sum_m0.5" in names
     assert json.loads(out.read_text()) == report
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_report_carries_the_stream_version(command, monkeypatch, capsys):
+    # The envelope is built once for every command; a stub stands in for
+    # the command's work so the check costs nothing.
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: ([], {"ran": command}, None))
+    argv = [command, "--k", "1"] if command in ("optimize", "sk-exact") else [command]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == ENVELOPE_KEYS
+    assert report["result"] == {"ran": command}
+    assert report["stream_version"] == STREAM_VERSION == 2
 
 
 def test_pd_tiny_tolerance_fails(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cascadelab import interpolation
+from cascadelab.cascade import attach_fields
 from cascadelab.interpolation import (
     _OP_DERIVATIVE,
     _OP_ERROR_COUPLED,
@@ -26,7 +27,7 @@ from cascadelab.interpolation import (
 )
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import QuadratureSpec, phi0
-from cascadelab.sk_model import exact_free_energy, spin_sums
+from cascadelab.sk_model import exact_free_energy, spin_matrix, spin_sums
 from cascadelab.stats import Estimate, Exact, identity_check
 
 LOG2COSH_HALF = math.log(2.0 * math.cosh(0.5))
@@ -48,16 +49,31 @@ def test_system_construction_invariants():
 
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
 def test_system_exponent_matches_the_four_term_sum(t):
-    # Oracle: the exponent as one left-to-right sum of the four terms.
-    system = build_system(3, t, sk_mixture(0.6), RSB2, 20, 0.3, seed=(123, 4))
+    # Oracle: the exponent as one left-to-right sum of the four terms,
+    # the tilt built from the seed's field columns at every t; a t = 1
+    # system holds no tilt and must still match to the bit.
+    mix = sk_mixture(0.6)
+    system = build_system(3, t, mix, RSB2, 20, 0.3, seed=(123, 4))
+    tilt = spin_matrix(3) @ attach_fields(20, mix, RSB2, 3, (123, 4)).all_fields().T
+    assert system.tilt is None if t == 1.0 else np.array_equal(system.tilt, tilt)
     expo = (
         np.sqrt(t) * system.table.values[:, None]
-        + np.sqrt(1.0 - t) * system.tilt
+        + np.sqrt(1.0 - t) * tilt
         + 0.3 * spin_sums(3)[:, None]
         + np.log(system.cascade.leaf_weights_flat())[None, :]
     )
     gamma, log_norm = interpolation._gibbs_weights(expo, "oracle")
     assert np.array_equal(system.gamma, gamma) and system.log_norm == log_norm
+
+
+def test_system_without_tilt_refuses_other_times():
+    system = build_system(2, 1.0, sk_mixture(0.6), RSB2, 6, 0.3, seed=7)
+    assert system.tilt is None
+    same = system.at(1.0)
+    assert np.array_equal(same.gamma, system.gamma) and same.log_norm == system.log_norm
+    for t in (0.0, 0.98, 1.0 - 1e-12):
+        with pytest.raises(RuntimeError, match="without its field tilt"):
+            system.at(t)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -2,18 +2,17 @@
 
 import os
 import pickle
-import random
 
 import numpy as np
 import pytest
 
+from cascadelab.cascade import attach_fields, build_cascade, sample_marks
+from cascadelab.mixture import RSBParams, sk_mixture
 from cascadelab.seeding import (
     CHUNK_SIZE,
     MODULE_CASCADE,
     MODULE_FIELDS,
-    PREFIX_CACHE_SIZE,
-    _prefix_pool,
-    derive_node_rngs,
+    MODULE_MARKS,
     derive_rng,
     derive_word,
     run_replicas,
@@ -37,11 +36,11 @@ def test_derive_rng_distinct_keys_differ():
 
 
 def test_tree_streams_match_spawn_key_layout():
-    # Oracle: the per-node stream as the tree samplers used to spell it,
-    # SeedSequence(base[0], spawn_key=base[1:] + (module,) + key).
+    # Oracle: a tree level's stream spelled as
+    # SeedSequence(base[0], spawn_key=base[1:] + (module, level)).
     for seed in (9, (9,), (1729, 4, 17), (3, 6, 1, 250)):
         base = stream_key(seed)
-        for module, key in ((MODULE_CASCADE, (1, 0)), (MODULE_FIELDS, (2, 37))):
+        for module, key in ((MODULE_CASCADE, (1,)), (MODULE_FIELDS, (2,))):
             old = np.random.default_rng(
                 np.random.SeedSequence(base[0], spawn_key=tuple(base[1:]) + (module,) + key)
             )
@@ -62,19 +61,6 @@ def _assert_same_stream(master, *key):
 
 
 MASTERS = (0, 1729, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**130)
-
-
-def test_derive_rng_matches_seedsequence_on_random_keys():
-    rng = random.Random(20070)
-    for _ in range(600):
-        master = rng.choice(MASTERS + (rng.getrandbits(rng.randint(1, 140)),))
-        key = tuple(
-            rng.choice((0, 1, 7, rng.getrandbits(rng.randint(1, 40))))
-            for _ in range(rng.randint(0, 6))
-        )
-        _assert_same_stream(master, *key)
-
-
 SEQUENCE_MASTERS = ((101, 0), [3, 2**40], range(3), np.array([1, 2], dtype=np.uint32),
                     ((1, 2), 3), (), (2**130, np.int64(7)))
 
@@ -96,20 +82,6 @@ def test_derive_rng_matches_seedsequence_on_wide_and_numpy_words(master):
     )
 
 
-def test_derive_rng_same_after_prefix_cache_overflow():
-    a, b = (1729, 6, 2, 11, 3, 1), (1729, 7, 2, 11, 3, 1)
-    first_a = derive_rng(*a).bit_generator.state
-    first_b = derive_rng(*b).bit_generator.state
-    for parent in range(PREFIX_CACHE_SIZE + 10):  # evicts every prefix of a
-        derive_rng(99, 3, parent, 0)
-    info = _prefix_pool.cache_info()
-    assert info.currsize <= PREFIX_CACHE_SIZE
-    assert derive_rng(*a).bit_generator.state == first_a == _oracle(*a).bit_generator.state
-    assert _prefix_pool.cache_info().misses > info.misses  # a's prefixes were rebuilt
-    assert derive_rng(*b).bit_generator.state == first_b == _oracle(*b).bit_generator.state
-    assert first_a != first_b
-
-
 def _raised(fn, *args):
     try:
         fn(*args)
@@ -124,64 +96,37 @@ def _raised(fn, *args):
      (1.5, 2), (-3, 2), ((1.0, 2), 5), ([1, -2], 5)],
 )
 def test_bad_words_raise_like_seedsequence(args):
-    # Cache the integer prefixes that 1.0, 3.0 and (1.0, 2) compare equal to.
-    for prefix in ((7, 1, 2), (7, 3, 1), ((1, 2), 5)):
-        derive_rng(*prefix)
     expected = _raised(_oracle, *args)
     assert expected in (TypeError, ValueError)
     with pytest.raises(expected):
         derive_rng(*args)
 
 
-def _assert_same_node_streams(master, blocks):
-    got = derive_node_rngs(master, blocks)
-    assert [len(rngs) for rngs in got] == [count for _, count in blocks]
-    for (prefix, _), rngs in zip(blocks, got):
-        for j, rng in enumerate(rngs):
-            old = _oracle(master, *prefix, j)
-            assert rng.bit_generator.state == old.bit_generator.state, (master, prefix, j)
-            assert np.array_equal(rng.standard_normal(3), old.standard_normal(3))
-
-
-def test_node_streams_match_seedsequence_on_random_prefixes():
-    # Prefix lengths and word widths vary within one call, so rows with
-    # different hash-constant chains meet in one call too.
-    rng = random.Random(20071)
-    for _ in range(60):
-        master = rng.choice(MASTERS + ((101, 0), (2**130, 5), rng.getrandbits(140)))
-        blocks = [
-            (
-                tuple(
-                    rng.choice((0, 3, rng.getrandbits(rng.randint(1, 70))))
-                    for _ in range(rng.randint(0, 5))
-                ),
-                rng.choice((0, 1, 2, 7)),
-            )
-            for _ in range(rng.randint(1, 4))
-        ]
-        _assert_same_node_streams(master, blocks)
+RSB2 = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
 
 
 @pytest.mark.parametrize("master", (1729, 2**128 + 5, (3, 2**40), (1, 2)))
 def test_node_streams_of_a_tree_match_seedsequence(master):
-    for counts in ((1,), (2,), (200,), (1, 40, 3)):
-        blocks = [((6, 2, 11, MODULE_FIELDS, level), count) for level, count in enumerate(counts)]
-        _assert_same_node_streams(master, blocks)
-    # numpy-integer prefix words, and an empty block between two others
-    blocks = [((np.int64(6), np.uint32(2)), 3), ((np.uint64(2**63 + 1),), 0), ((np.int8(1), 4), 2)]
-    _assert_same_node_streams(master, blocks)
-
-
-def test_node_streams_same_after_prefix_cache_overflow():
-    blocks = [((6, 2, MODULE_CASCADE, 1), 1), ((6, 2, MODULE_CASCADE, 2), 5)]
-    first = [[r.bit_generator.state for r in rngs] for rngs in derive_node_rngs(1729, blocks)]
-    for parent in range(PREFIX_CACHE_SIZE + 10):  # evicts both prefixes
-        derive_rng(99, 3, parent, 0)
-    misses = _prefix_pool.cache_info().misses
-    again = [[r.bit_generator.state for r in rngs] for rngs in derive_node_rngs(1729, blocks)]
-    assert _prefix_pool.cache_info().misses > misses
-    assert again == first
-    _assert_same_node_streams(1729, blocks)
+    # Every node of a level reads the one stream (seed, module, level):
+    # the cascade, marks and field columns of a b = 3, k = 2 tree against
+    # SeedSequence, for wide and sequence masters.
+    b, N, seed = 3, 2, (master, 6, 2, 11)
+    casc = build_cascade(RSB2, b, seed)
+    marks = sample_marks(b, 2, (1.0, 1.0), seed)
+    fields = attach_fields(b, sk_mixture(0.5), RSB2, N, seed)
+    stds = fields.column_stds
+    root = _oracle(*seed, MODULE_FIELDS, 0).standard_normal(N)
+    want = np.tile(stds[0] * root, (b * b, 1))
+    for level in (1, 2):
+        m, parents = RSB2.m[level], b ** (level - 1)
+        gaps = _oracle(*seed, MODULE_CASCADE, level).standard_exponential((parents, b))
+        points = (m * np.cumsum(gaps, axis=1)) ** (-1.0 / m)
+        assert np.array_equal(casc.levels[level - 1].reshape(-1, b), points)
+        normals = _oracle(*seed, MODULE_MARKS, level).standard_normal((parents, b))
+        assert np.array_equal(marks[level - 1].reshape(-1, b), normals)
+        columns = _oracle(*seed, MODULE_FIELDS, level).standard_normal((b * parents, N))
+        want += np.repeat(stds[level] * columns, b ** (2 - level), axis=0)
+    assert np.array_equal(fields.all_fields(), want)
 
 
 @pytest.mark.parametrize(
@@ -190,13 +135,17 @@ def test_node_streams_same_after_prefix_cache_overflow():
      (7, (np.float64(3.0),)), (1.5, (2,)), ((1.0, 2), (5,)), ([1, -2], (5,))],
 )
 def test_node_streams_bad_words_raise_like_derive_rng(args):
+    # The tree samplers raise for a bad seed word as its level stream does.
     master, prefix = args
-    for cached in ((7, 1, 2), (7, 3), ((1, 2), 5)):
-        derive_rng(*cached, 0)
-    expected = _raised(derive_rng, master, *prefix, 0)
+    seed = (master, *prefix)
+    expected = _raised(derive_rng, master, *prefix, MODULE_CASCADE, 1)
     assert expected in (TypeError, ValueError)
     with pytest.raises(expected):
-        derive_node_rngs(master, [((), 2), (prefix, 3)])
+        build_cascade(RSB2, 2, seed)
+    with pytest.raises(expected):
+        sample_marks(2, 2, (1.0, 1.0), seed)
+    with pytest.raises(expected):
+        attach_fields(2, sk_mixture(0.5), RSB2, 1, seed).all_fields()
 
 
 def test_derived_stream_pickles_and_holds_only_its_seed():
@@ -204,8 +153,8 @@ def test_derived_stream_pickles_and_holds_only_its_seed():
     rng.standard_normal(5)
     copy = pickle.loads(pickle.dumps(rng))
     assert np.array_equal(copy.standard_normal(6), rng.standard_normal(6))
-    with pytest.raises(ValueError):
-        rng.bit_generator.seed_seq.generate_state(2, np.uint32)
+    seed_seq = rng.bit_generator.seed_seq
+    assert (seed_seq.entropy, seed_seq.spawn_key) == (1729, (6, 3))
 
 
 def _chunk(args, master, start, stop):
