@@ -70,6 +70,17 @@ def _check_joint_budget(N: int, rsb: RSBParams, b: int, t: float) -> None:
         raise ValueError(f"t = {t} outside [0, 1]")
 
 
+def _check_coupled_budget(N: int, rsb: RSBParams, b: int, t: float) -> None:
+    if not 1 <= N <= MAX_COUPLED_SITES:
+        raise ValueError(f"N outside 1..{MAX_COUPLED_SITES}")
+    if rsb.k > MAX_COUPLED_RSB:
+        raise ValueError(f"k = {rsb.k} exceeds {MAX_COUPLED_RSB}")
+    if 4**N * b ** rsb.k > MAX_JOINT_STATES:
+        raise ValueError("coupled enumeration exceeds the state budget")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t = {t} outside [0, 1]")
+
+
 def _tilted_loss(eps, rho):
     """Missing mass eps as seen by the Gibbs measure, whose mean tilt is rho."""
     return eps * rho / (1.0 - eps + eps * rho)
@@ -170,9 +181,6 @@ class GibbsSystem:
     @property
     def leaf_count(self) -> int:
         return self.cascade.leaf_count
-
-    def normalization_error(self) -> float:
-        return abs(float(self.gamma.sum()) - 1.0)
 
     def leaf_masses(self) -> np.ndarray:
         """sigma-marginal of Gamma, shaped as the leaf tree (b,)*k."""
@@ -492,8 +500,7 @@ class CoupledGibbsSystem:
     from level r upward.  Given the leaf the two spin copies are
     independent, so the measure is held as its factors
     Gamma_r(sigma^1, sigma^2, alpha) = pi(alpha) p1(sigma^1 | alpha)
-    p2(sigma^2 | alpha) and the (2^N, 2^N, b^k) product is never formed
-    on the error-term path.
+    p2(sigma^2 | alpha) and the (2^N, 2^N, b^k) product is never formed.
     """
 
     N: int
@@ -507,14 +514,6 @@ class CoupledGibbsSystem:
     p2: np.ndarray  # (2^N, b^k), copy 2 given the leaf, columns normalized
     pi: np.ndarray  # (b^k,), leaf marginal, normalized
     log_norm: float
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """The joint (2^N, 2^N, b^k) array, built on each read."""
-        return self.pi * self.p1[:, None, :] * self.p2[None, :, :]
-
-    def normalization_error(self) -> float:
-        return abs(float(self.gamma.sum()) - 1.0)
 
     def delta_average(self):
         """<Delta(R_{1,2}, q_r)>_r with a missing-mass budget.
@@ -543,17 +542,6 @@ class CoupledGibbsSystem:
         return value, allowance
 
 
-def coupled_n_sequence(rsb: RSBParams, r: int) -> RSBParams:
-    """Same q ladder, exponents halved strictly below level r."""
-    if not 1 <= r <= rsb.k:
-        raise ValueError(f"r outside 1..{rsb.k}")
-    interior = tuple(
-        m / 2.0 if level < r else m
-        for level, m in enumerate(rsb.m_interior, start=1)
-    )
-    return RSBParams.from_interior(interior, rsb.q_interior)
-
-
 def build_coupled_system(
     N: int,
     t: float,
@@ -565,17 +553,9 @@ def build_coupled_system(
     seed,
 ) -> CoupledGibbsSystem:
     """Enumerate Gamma_r over spin pairs and leaves for one disorder draw."""
-    if not 1 <= N <= MAX_COUPLED_SITES:
-        raise ValueError(f"N outside 1..{MAX_COUPLED_SITES}")
-    if rsb.k > MAX_COUPLED_RSB:
-        raise ValueError(f"k = {rsb.k} exceeds {MAX_COUPLED_RSB}")
-    if 4**N * b ** rsb.k > MAX_JOINT_STATES:
-        raise ValueError("coupled enumeration exceeds the state budget")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t = {t} outside [0, 1]")
-
+    _check_coupled_budget(N, rsb, b, t)
     cascade, fields, table = _sample_disorder(
-        N, mixture, rsb, coupled_n_sequence(rsb, r), b, seed
+        N, mixture, rsb, rsb.halved_below(r), b, seed
     )
 
     spins = spin_matrix(N)
@@ -633,8 +613,7 @@ def error_term_check(
 ) -> ErrorTermReport:
     """Wedge-restricted Delta under Gamma x Gamma vs the coupled system."""
     _check_joint_budget(N, rsb, b, t)
-    if not 1 <= N <= MAX_COUPLED_SITES:
-        raise ValueError(f"N outside 1..{MAX_COUPLED_SITES}")
+    _check_coupled_budget(N, rsb, b, t)
     if not 1 <= r <= rsb.k:
         raise ValueError(f"r outside 1..{rsb.k}")
     rsb.requires_simulable()

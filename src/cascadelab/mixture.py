@@ -174,6 +174,20 @@ class RSBParams:
     def q_interior(self) -> tuple:
         return self.q[1:-1]
 
+    def halved_below(self, r: int) -> "RSBParams":
+        """The same q ladder with exponents m_l / 2 for l < r.
+
+        These are the cascade exponents of the replica pair coupled at
+        level r, and the V-chain exponents of its quadrature reference.
+        """
+        if not 1 <= r <= self.k:
+            raise ValueError(f"r outside 1..{self.k}")
+        interior = tuple(
+            m / 2.0 if level < r else m
+            for level, m in enumerate(self.m_interior, start=1)
+        )
+        return RSBParams.from_interior(interior, self.q_interior)
+
     def variances(self, mix: MixtureFunction) -> np.ndarray:
         """Column variances v_l = xi'(q_{l+1}) - xi'(q_l), l = 0..k."""
         qp = mix.xi_prime(np.asarray(self.q))

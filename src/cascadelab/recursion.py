@@ -34,6 +34,7 @@ from .mixture import (
     check_field_compatible,
     theta,
 )
+from .sk_model import monomial_signs, monomial_variances, spin_matrix
 
 TENSOR_BUDGET = 10**7
 # Largest Gauss-Hermite grid, nodes**(k+1) points, on which phi0 contracts
@@ -158,9 +159,7 @@ def _phi0_tensor(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
     z, w = gauss_hermite(nodes)
     field = h
     for level in range(ndim):
-        field = field + (math.sqrt(float(v[level])) * z).reshape(
-            _axis_shape(ndim, level, nodes)
-        )
+        field = field + _column(math.sqrt(float(v[level])), z, ndim, level)
     level_axes = {level: [level] for level in range(1, ndim)}
     x0 = _chain(log2cosh(field), rsb.m, level_axes, w, ndim)[0]
     return float(_weighted_sum(x0, [0], w, ndim).squeeze())
@@ -391,12 +390,41 @@ def _axis_shape(ndim: int, axis: int, n: int):
     return shape
 
 
+def _column(scale, z, ndim: int, axis: int):
+    """The Gaussian column scale * z laid along one axis of an ndim grid."""
+    return (scale * z).reshape(_axis_shape(ndim, axis, z.size))
+
+
 def _weighted_sum(arr, axes, weights, ndim):
     out = arr
     for ax in axes:
         out = (out * weights.reshape(_axis_shape(ndim, ax, weights.size))).sum(
             axis=ax, keepdims=True
         )
+    return out
+
+
+def _tilted_mean(integrand, weights, w, ndim: int) -> float:
+    """E[integrand * prod weights] over every grid axis.
+
+    The weight arrays multiply in the order given, left to right.
+    """
+    for wl in weights:
+        integrand = integrand * wl
+    return float(_weighted_sum(integrand, range(ndim), w, ndim).squeeze())
+
+
+def _pair_weights(ws_a, ws_b, r: int) -> list:
+    """The weights of two paths split at level r, in level order.
+
+    W^a_l at every level, and W^b_l from level r on: below r the paths
+    share their nodes, so the shared weight counts once.
+    """
+    out = []
+    for level, (wa, wb) in enumerate(zip(ws_a, ws_b), start=1):
+        out.append(wa)
+        if level >= r:
+            out.append(wb)
     return out
 
 
@@ -447,12 +475,8 @@ def _path_grid(x_fn: PathFunctional, tau, z, ndim: int, mark_axes):
     The level-l mark lies on axis ``mark_axes[l-1]`` with standard
     deviation tau[l-1]; the level axes are the ones ``_chain`` contracts.
     """
-    n = z.size
-    marks = [
-        (tau[ell] * z).reshape(_axis_shape(ndim, axis, n))
-        for ell, axis in enumerate(mark_axes)
-    ]
-    x = np.broadcast_to(np.asarray(x_fn(marks), dtype=float), (n,) * ndim).copy()
+    marks = [_column(tau[ell], z, ndim, axis) for ell, axis in enumerate(mark_axes)]
+    x = np.broadcast_to(np.asarray(x_fn(marks), dtype=float), (z.size,) * ndim).copy()
     level_axes = {ell + 1: [axis] for ell, axis in enumerate(mark_axes)}
     return marks, x, level_axes
 
@@ -485,10 +509,7 @@ def mark_chain_tilted(
     z, w = _grid_nodes(quad, k)
     marks, x, level_axes = _path_grid(x_fn, tau, z, k, range(k))
     ws = _chain_weights(_chain(x, rsb.m, level_axes, w, k), rsb.m)
-    integrand = np.asarray(y_fn(marks), dtype=float)
-    for wl in ws:
-        integrand = integrand * wl
-    return float(_weighted_sum(integrand, list(range(k)), w, k).squeeze())
+    return _tilted_mean(np.asarray(y_fn(marks), dtype=float), ws, w, k)
 
 
 def mark_chain_restricted(
@@ -526,11 +547,7 @@ def mark_chain_restricted(
         np.asarray(y_pair.base(marks_a), float),
         np.asarray(y_pair.base(marks_b), float),
     )
-    for level in range(1, k + 1):
-        integrand = integrand * ws_a[level - 1]
-        if level >= r:
-            integrand = integrand * ws_b[level - 1]
-    return float(_weighted_sum(integrand, list(range(ndim)), w, ndim).squeeze())
+    return _tilted_mean(integrand, _pair_weights(ws_a, ws_b, r), w, ndim)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +583,6 @@ def mu_r_quadrature(
     product-of-W form, the V-chain form with halved exponents below r,
     and their pointwise agreement.
     """
-    from .sk_model import monomial_signs, monomial_variances, spin_matrix
-
     if not 1 <= N <= 2:
         raise ValueError("the coupled quadrature supports N in {1, 2}")
     if not 1 <= k <= 2 or k != rsb.k:
@@ -578,98 +593,65 @@ def mu_r_quadrature(
         raise ValueError("t must lie in [0, 1]")
     check_field_compatible(mix)
     v = np.maximum(rsb.variances(mix), 0.0)
+    cols = [col for col in range(k + 1) if v[col] > 0.0]
 
-    # Axis registry: one axis per active Gaussian. Columns 0..r-1 are
-    # shared between the copies; columns r..k appear once per copy. The
-    # sigma-independent (empty-set) monomial shifts both copies' chains
-    # equally and cancels from every W and Gibbs ratio, so it is dropped.
-    axes = []
-    for col in range(0, k + 1):
-        if v[col] <= 0.0:
-            continue
-        copies = (None,) if col < r else (0, 1)
-        for copy in copies:
+    def key(col, site, copy):
+        # columns 0..r-1 are shared between the copies
+        return col, site, None if col < r else copy
+
+    # One axis per active Gaussian: each field column once per copy that
+    # owns it, then each monomial.  The sigma-independent (empty-set)
+    # monomial shifts both copies' chains equally and cancels from every
+    # W and Gibbs ratio, so it is dropped.
+    z_axes = {}
+    for col in cols:
+        for copy in (0,) if col < r else (0, 1):
             for site in range(N):
-                axes.append(("z", col, site, copy))
+                z_axes[key(col, site, copy)] = len(z_axes)
     variances = monomial_variances(N, mix)
     masks = sorted(mask for mask in variances if mask != 0)
-    for mask in masks:
-        axes.append(("H", mask, None, None))
-    ndim = len(axes)
+    ndim = len(z_axes) + len(masks)
     if ndim == 0:
         raise ValueError("degenerate configuration: no active randomness")
     z, w = _grid_nodes(quad, ndim)
-
-    def grid(idx, scale):
-        return (scale * z).reshape(_axis_shape(ndim, idx, z.size))
-
-    z_axes = {}  # (col, site, copy or None) -> axis index
-    h_axes = {}
-    for idx, (kind, a, b, c) in enumerate(axes):
-        if kind == "z":
-            z_axes[(a, b, c)] = idx
-        else:
-            h_axes[a] = idx
-
     sigmas = spin_matrix(N)
     signs = monomial_signs(N, masks)
 
-    def field_sum(site, copy):
-        total = 0.0
-        for col in range(0, k + 1):
-            if v[col] <= 0.0:
-                continue
-            key = (col, site, None if col < r else copy)
-            total = total + grid(z_axes[key], math.sqrt(float(v[col])))
-        return total
-
-    def exponent(sigma, copy, s_idx):
+    def exponent(s_idx, copy):
         # Terms with zero coefficient are skipped so the array keeps
         # singleton axes there (the contraction handles them by weight
         # normalization), which matters at the t = 0 and t = 1 endpoints.
+        sigma = sigmas[s_idx]
         e = np.full((1,) * ndim, h * float(sigma.sum()))
         if t < 1.0:
             for site in range(N):
-                e = e + (
-                    math.sqrt(1.0 - t) * float(sigma[site]) * field_sum(site, copy)
-                )
+                field = 0.0
+                for col in cols:
+                    scale = math.sqrt(float(v[col]))
+                    field = field + _column(scale, z, ndim, z_axes[key(col, site, copy)])
+                e = e + math.sqrt(1.0 - t) * float(sigma[site]) * field
         if t > 0.0:
             for j, mask in enumerate(masks):
                 e = e + (
                     math.sqrt(t)
                     * math.sqrt(variances[mask])
                     * float(signs[s_idx, j])
-                    * grid(h_axes[mask], 1.0)
+                    * _column(1.0, z, ndim, len(z_axes) + j)
                 )
         return e
 
     # Arrays stay in broadcast shape: each copy's exponent has singleton
     # axes along the other copy's private columns, so per-sigma storage is
     # far below the full tensor size.
-    exps = {}
-    xk = {}
-    for copy in (0, 1):
-        acc = None
-        per_sigma = []
-        for s_idx, sigma in enumerate(sigmas):
-            e = np.asarray(exponent(sigma, copy, s_idx), dtype=float)
-            per_sigma.append(e)
-            acc = e if acc is None else np.logaddexp(acc, e)
-        exps[copy] = per_sigma
-        xk[copy] = acc
-
-    def level_axes(copy):
-        out = {}
-        for level in range(1, k + 1):
-            ax = []
-            for site in range(N):
-                key = (level, site, None if level < r else copy)
-                if key in z_axes:
-                    ax.append(z_axes[key])
-            out[level] = ax
-        return out
-
-    copy_axes = {copy: level_axes(copy) for copy in (0, 1)}
+    exps = {copy: [exponent(s_idx, copy) for s_idx in range(len(sigmas))] for copy in (0, 1)}
+    xk = {copy: functools.reduce(np.logaddexp, exps[copy]) for copy in (0, 1)}
+    copy_axes = {
+        copy: {
+            level: [z_axes[key(level, site, copy)] for site in range(N)] if level in cols else []
+            for level in range(1, k + 1)
+        }
+        for copy in (0, 1)
+    }
     ws = {
         copy: _chain_weights(_chain(xk[copy], rsb.m, copy_axes[copy], w, ndim), rsb.m)
         for copy in (0, 1)
@@ -684,35 +666,20 @@ def mu_r_quadrature(
             if fv == 0.0:
                 continue
             fbar = fbar + fv * p1 * np.exp(exps[1][i2] - xk[1])
+    fbar = np.asarray(fbar, dtype=float)
 
-    integrand = np.asarray(fbar, dtype=float) + 0.0
-    for level in range(1, k + 1):
-        integrand = integrand * ws[0][level - 1]
-        if level >= r:
-            integrand = integrand * ws[1][level - 1]
-    mu_w = float(_weighted_sum(integrand, list(range(ndim)), w, ndim).squeeze())
-
-    # V-chain with exponents n_l = m_l / 2 below the split level
-    n_seq = {
-        level: (rsb.m[level] / 2.0 if level < r else rsb.m[level])
-        for level in range(1, k + 1)
-    }
+    # The V-form: one chain of X^a_k + X^b_k with exponents halved below r
+    halved = rsb.halved_below(r).m
     joint = {
         level: sorted(set(copy_axes[0][level]) | set(copy_axes[1][level]))
         for level in range(1, k + 1)
     }
-    vs = _chain_weights(_chain(xk[0] + xk[1], n_seq, joint, w, ndim), n_seq)
-    max_diff = 0.0
-    integrand_v = np.asarray(fbar, dtype=float) + 0.0
-    for level in range(1, k + 1):
-        vl = vs[level - 1]
-        ref = ws[0][level - 1] * ws[1][level - 1] if level >= r else ws[0][level - 1]
-        max_diff = max(max_diff, float(np.abs(vl - ref).max()))
-        integrand_v = integrand_v * vl
-    mu_v = float(_weighted_sum(integrand_v, list(range(ndim)), w, ndim).squeeze())
-
+    vs = _chain_weights(_chain(xk[0] + xk[1], halved, joint, w, ndim), halved)
     return MuQuadResult(
-        value=mu_w,
-        value_v_form=mu_v,
-        chain_max_diff=max_diff,
+        value=_tilted_mean(fbar, _pair_weights(ws[0], ws[1], r), w, ndim),
+        value_v_form=_tilted_mean(fbar, vs, w, ndim),
+        chain_max_diff=max(
+            float(np.abs(vl - (wa * wb if level >= r else wa)).max())
+            for level, (vl, wa, wb) in enumerate(zip(vs, ws[0], ws[1]), start=1)
+        ),
     )

@@ -19,7 +19,6 @@ from cascadelab.interpolation import (
     _system_chunk,
     build_coupled_system,
     build_system,
-    coupled_n_sequence,
     derivative_check,
     error_term_check,
     gibbs_overlap_mass,
@@ -40,7 +39,7 @@ RSB2 = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
 def test_system_construction_invariants():
     system = build_system(3, 0.5, sk_mixture(0.6), RSB2, 20, 0.3, seed=123)
     assert system.gamma.shape == (8, 400)
-    assert system.normalization_error() < 1e-10
+    assert abs(float(system.gamma.sum()) - 1.0) < 1e-10
     assert system.leaf_masses().shape == (20, 20)
     assert system.leaf_masses().sum() == pytest.approx(1.0, abs=1e-10)
     assert system.phi_value() == pytest.approx(system.log_norm / 3.0, rel=1e-12)
@@ -238,11 +237,12 @@ def test_overlap_mass_returns_every_level():
 
 
 def test_coupled_exponent_sequence():
-    assert coupled_n_sequence(RSB2, 1).m_interior == (0.4, 0.8)
-    assert coupled_n_sequence(RSB2, 2).m_interior == (0.2, 0.8)
-    assert coupled_n_sequence(RSB2, 2).q_interior == RSB2.q_interior
-    with pytest.raises(ValueError, match="r outside"):
-        coupled_n_sequence(RSB2, 3)
+    assert RSB2.halved_below(1).m_interior == (0.4, 0.8)
+    assert RSB2.halved_below(2).m_interior == (0.2, 0.8)
+    assert RSB2.halved_below(2).q_interior == RSB2.q_interior
+    for r in (0, 3):
+        with pytest.raises(ValueError, match="r outside"):
+            RSB2.halved_below(r)
 
 
 def test_coupled_system_guards():
@@ -252,10 +252,9 @@ def test_coupled_system_guards():
         build_coupled_system(2, 1.2, 1, sk_mixture(0.5), RSB1, 30, 0.0, seed=1)
 
 
-def test_coupled_system_normalized():
+def test_coupled_system_normalized(coupled_joint):
     system = build_coupled_system(2, 0.5, 1, sk_mixture(0.6), RSB1, 40, 0.3, seed=17)
-    assert system.gamma.shape == (4, 4, 40)
-    assert system.normalization_error() < 1e-10
+    assert coupled_joint(system).shape == (4, 4, 40)
 
 
 def test_coupled_system_stays_below_one_joint_array():
@@ -321,6 +320,22 @@ def test_error_term_same_across_workers(monkeypatch):
         report = error_term_check(2, 0.5, 1, mix, RSB1, 8, 0.3, 300, seed=29)
         out[workers] = (report.lhs, report.rhs, report.coupled_average, report.record)
     assert out["1"] == out["2"]
+
+
+@pytest.mark.parametrize(
+    "N, b, ladder, match",
+    [(4, 100, (0.3, 0.6), "state budget"), (2, 20, (0.2, 0.4, 0.6), "k = 3 exceeds 2")],
+)
+def test_error_term_checks_coupled_limits_first(monkeypatch, N, b, ladder, match):
+    # Both fit the plain system; the coupled one must be refused before
+    # any plain replica runs.
+    def no_build(*args):
+        raise AssertionError("a plain system was built")
+
+    monkeypatch.setattr(interpolation, "build_system", no_build)
+    rsb = RSBParams.from_interior(ladder, ladder)
+    with pytest.raises(ValueError, match=match):
+        error_term_check(N, 0.5, 1, sk_mixture(0.5), rsb, b, 0.3, 4, seed=1)
 
 
 def test_error_term_rejects_bad_level():

@@ -182,6 +182,20 @@ def test_mu_normalization_and_chain_agreement():
         assert res.chain_max_diff <= 1e-8
 
 
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("f", ["one", "overlap", "delta_overlap", "site_product"])
+def test_mu_two_sites_forms_agree(t, f):
+    # N = 2, k = 1, r = 1: 7 axes (2 shared columns, 2 x 2 private ones,
+    # one monomial); t = 1 drops the field columns, t = 0 the monomial.
+    rsb = RSBParams.from_interior((0.4,), (0.5,))
+    quad = QuadratureSpec(nodes_per_level=8, convergence_check=False)
+    res = mu_r_quadrature(2, 1, 1, sk_mixture(0.6), rsb, 0.3, t, f, quad)
+    assert abs(res.value - res.value_v_form) <= 1e-12
+    assert res.chain_max_diff <= 1e-8
+    if f == "one":
+        assert abs(res.value - 1.0) <= 1e-12
+
+
 def test_mu_budget_guard():
     mix = sk_mixture(0.5)
     rsb = RSBParams.from_interior((0.3, 0.6), (0.3, 0.6))
@@ -189,7 +203,7 @@ def test_mu_budget_guard():
         mu_r_quadrature(2, 2, 1, mix, rsb, 0.3, 0.5, "one", QUAD)
 
 
-def test_mu_site_product_matches_coupled_mc():
+def test_mu_site_product_matches_coupled_mc(coupled_joint):
     # Monte Carlo oracle: the same restricted Gibbs average built from
     # cascade weights and sampled columns, N=1, k=1, t=0.  m1 = 0.4 keeps
     # the leaf truncation loss tiny; what remains is budgeted explicitly
@@ -202,7 +216,7 @@ def test_mu_site_product_matches_coupled_mc():
     losses = np.empty(reps)
     for rep in range(reps):
         system = build_coupled_system(1, 0.0, 1, mix, rsb, b, h, (71, rep))
-        gamma = system.gamma.sum(axis=2)
+        gamma = coupled_joint(system).sum(axis=2)
         vals[rep] = float(np.einsum("ab,a,b->", gamma, spins, spins))
         losses[rep] = float(system.cascade.cumulative_losses()[-1])
     mc = Estimate.from_values(vals)
