@@ -1,12 +1,14 @@
 """Command line front end: run one verification command, emit one report.
 
 Configuration comes from an optional ``key = value`` file plus flag
-overrides; flags win.  Every run produces a single JSON report with a
-fixed envelope (config echo, config hash, seed, stream layout version,
-package version, records), and optionally a CSV series for grid-valued
-output.  Reports are serialized with sorted keys, so two runs of the
-same command with the same seed are byte-identical apart from the
-``generated_at`` field, regardless of the worker count.
+overrides; flags win.  Values from both pass through one parser and one
+choice check per key, the rows of ``_KEYS``, before any command runs.
+Every run produces a single JSON report with a fixed envelope (config
+echo, config hash, seed, stream layout version, package version,
+records), and optionally a CSV series for grid-valued output.  Reports
+are serialized with sorted keys, so two runs of the same command with
+the same seed are byte-identical apart from the ``generated_at`` field,
+regardless of the worker count.
 
 Exit status: 0 when every check passed, 1 when at least one failed, 2
 when the configuration was rejected, 3 on an internal fault such as a
@@ -23,6 +25,7 @@ import json
 import math
 import sys
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import metadata
@@ -46,6 +49,7 @@ from .interpolation import (
 )
 from .mixture import RSBParams, make_mixture, sk_mixture
 from .pd_process import (
+    STATISTICS,
     MarkSpec,
     corollary_moments,
     estimate_pair_sum,
@@ -67,6 +71,12 @@ SCHEMA_VERSION = 1
 
 INTERPOLATE_CHECKS = ("phi", "derivative", "overlap", "error-term")
 PRESETS = ("desk", "smoke")
+# The mark families of the point-process checks, by mark_family value.
+MARK_PRESETS = {
+    "constant": MarkSpec("constant", cx=1.3, cy=0.7),
+    "lognormal": MarkSpec("lognormal", shift=1.0, sigma_x=0.4, sigma_y=0.35, rho=0.6),
+    "two_point": MarkSpec("two_point", xs=(1.0, 2.0), ys=(0.5, 1.5), p=0.6),
+}
 
 
 class ConfigError(Exception):
@@ -77,40 +87,6 @@ class ConfigError(Exception):
 # configuration
 # ---------------------------------------------------------------------------
 
-# One flat key space shared by the config file and the flag overrides.
-# Unknown keys are rejected rather than ignored, so a typo cannot
-# silently fall back to a default.
-_DEFAULTS = {
-    "mixture": [[2, 1.0]],
-    "m": [0.5],
-    "q": [0.5],
-    "N": 6,
-    "b": 100,
-    "n_max": 100000,
-    "replicas": 1000,
-    "nodes": 40,
-    "t": 0.5,
-    "t_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
-    "r": None,
-    "h": 0.0,
-    "k": None,
-    "step": 0.02,
-    "seed": 1729,
-    "tolerance": 3.0,
-    "mark_family": "two_point",
-    "statistic": "pair_sum",
-    "check": "phi",
-    "preset": "desk",
-    "scan_q1": None,
-    "json_out": None,
-    "csv_out": None,
-}
-
-_INT_KEYS = ("N", "b", "n_max", "replicas", "nodes", "seed")
-_FLOAT_KEYS = ("t", "h", "step", "tolerance")
-_STR_KEYS = ("mark_family", "statistic", "check", "preset")
-_PATH_KEYS = ("json_out", "csv_out")
-
 
 def _finite(value: float, key: str) -> float:
     """A float option's value; inf and nan are usage errors, not inputs."""
@@ -119,84 +95,154 @@ def _finite(value: float, key: str) -> float:
     return value
 
 
-def _as_float_list(value, key: str) -> list:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [_finite(float(value), key)]
-    if isinstance(value, (list, tuple)) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+def _integer(floor=None):
+    def parse(value, key):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if floor is not None and value < floor:
+            raise ConfigError(f"{key} must be >= {floor}, got {value}")
+        return value
+
+    return parse
+
+
+def _real(value, key):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _number(value, key) -> float:
+    return _finite(float(_real(value, key)), key)
+
+
+def _tolerance(value, key) -> float:
+    if not 0.0 <= _real(value, key) < math.inf:
+        raise ConfigError(f"tolerance must be finite and >= 0, got {value}")
+    return float(value)
+
+
+def _string(value, key, what="a string") -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _path(value, key) -> str:
+    return _string(value, key, "a path string")
+
+
+def _float_list(value, key) -> list:
+    values = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ConfigError(f"{key} must be a number or a list of numbers, got {value!r}")
+    return [_finite(float(v), key) for v in values]
+
+
+def _mixture(value, key) -> list:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError("mixture must be a nonempty list of [p, beta] pairs")
+    pairs = []
+    for item in value:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigError(f"mixture entries must be [p, beta] pairs, got {item!r}")
+        pairs.append([item[0], _finite(float(item[1]), "mixture beta")])
+    return pairs
+
+
+def _levels(value, key) -> list:
+    values = value if isinstance(value, (list, tuple)) else [value]
+    if not values or any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise ConfigError(f"r must be an integer or a nonempty list of integers, got {value!r}")
+    return list(values)
+
+
+def _scan(value, key) -> list:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 3
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
-        return [_finite(float(v), key) for v in value]
-    raise ConfigError(f"{key} must be a number or a list of numbers, got {value!r}")
+        raise ConfigError("scan_q1 must be [start, stop, count]")
+    start, stop, count = float(value[0]), float(value[1]), int(value[2])
+    if not (0.0 < start < stop < 1.0):
+        raise ConfigError("scan_q1 must satisfy 0 < start < stop < 1")
+    if count < 2:
+        raise ConfigError("scan_q1 needs at least 2 grid points")
+    return [start, stop, count]
+
+
+def _literal(text: str):
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        raise argparse.ArgumentTypeError(f"not a Python literal: {text!r}") from None
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One configuration key: its default, its parser and its flag.
+
+    ``parse(value, key)`` returns the canonical value or raises
+    ConfigError; a key whose default is None may be set back to None.
+    The flag is ``--key`` with dashes for underscores, plus ``aliases``;
+    argparse reads it with ``flag_type`` (None: the string as given), and
+    a bare flag means ``const`` when that is set.  Only the ``commands``
+    named have the flag (None: every command).
+    """
+
+    default: object
+    parse: Callable
+    flag_type: Callable | None = _literal
+    choices: tuple | None = None
+    commands: tuple | None = None
+    aliases: tuple = ()
+    const: object = None
+
+
+# One flat key space shared by the config file and the flag overrides,
+# in the order reports and config hashes list it.  Unknown keys are
+# rejected rather than ignored, so a typo cannot silently fall back to a
+# default.
+_KEYS = {
+    "mixture": _Key([[2, 1.0]], _mixture),
+    "m": _Key([0.5], _float_list),
+    "q": _Key([0.5], _float_list),
+    "N": _Key(6, _integer(1), int),
+    "b": _Key(100, _integer(1), int),
+    "n_max": _Key(100000, _integer(1), int, aliases=("--n_max",)),
+    "replicas": _Key(1000, _integer(1), int),
+    "nodes": _Key(40, _integer(1), int),
+    "t": _Key(0.5, _number, float),
+    "t_grid": _Key([0.0, 0.25, 0.5, 0.75, 1.0], _float_list),
+    "r": _Key(None, _levels),
+    "h": _Key(0.0, _number, float),
+    "k": _Key(None, _integer(), int, commands=("optimize", "sk-exact")),
+    "step": _Key(0.02, _number, float),
+    "seed": _Key(1729, _integer(0), int),
+    "tolerance": _Key(3.0, _tolerance, float),
+    "mark_family": _Key("two_point", _string, None, tuple(MARK_PRESETS), ("pd",)),
+    "statistic": _Key("pair_sum", _string, None, STATISTICS, ("pd",)),
+    "check": _Key("phi", _string, None, INTERPOLATE_CHECKS, ("interpolate",)),
+    "preset": _Key("desk", _string, None, PRESETS, ("verify-all",)),
+    "scan_q1": _Key(None, _scan, commands=("bound",), const=[0.02, 0.8, 40]),
+    "json_out": _Key(None, _path, None),
+    "csv_out": _Key(None, _path, None),
+}
+_DEFAULTS = {key: row.default for key, row in _KEYS.items()}
 
 
 def _validated(key: str, value):
     """Coerce one config value to its canonical type or raise ConfigError."""
-    if key not in _DEFAULTS:
+    if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        floor = 0 if key == "seed" else 1
-        if value < floor:
-            raise ConfigError(f"{key} must be >= {floor}, got {value}")
-        return value
-    if key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        if key == "tolerance" and not 0.0 <= value < math.inf:
-            raise ConfigError(f"tolerance must be finite and >= 0, got {value}")
-        return _finite(float(value), key)
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
-        return value
-    if key in _PATH_KEYS:
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{key} must be a path string, got {value!r}")
-        return value
-    if key in ("m", "q", "t_grid"):
-        return _as_float_list(value, key)
-    if key == "mixture":
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError("mixture must be a nonempty list of [p, beta] pairs")
-        pairs = []
-        for item in value:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ConfigError(f"mixture entries must be [p, beta] pairs, got {item!r}")
-            pairs.append([item[0], _finite(float(item[1]), "mixture beta")])
-        return pairs
-    if key == "r":
-        if value is None:
-            return None
-        if isinstance(value, int) and not isinstance(value, bool):
-            return [value]
-        if isinstance(value, (list, tuple)) and value and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        ):
-            return list(value)
-        raise ConfigError(f"r must be an integer or a nonempty list of integers, got {value!r}")
-    if key == "k":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"k must be an integer, got {value!r}")
-        return value
-    if key == "scan_q1":
-        if value is None:
-            return None
-        if (
-            not isinstance(value, (list, tuple))
-            or len(value) != 3
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-        ):
-            raise ConfigError("scan_q1 must be [start, stop, count]")
-        start, stop, count = float(value[0]), float(value[1]), int(value[2])
-        if not (0.0 < start < stop < 1.0):
-            raise ConfigError("scan_q1 must satisfy 0 < start < stop < 1")
-        if count < 2:
-            raise ConfigError("scan_q1 needs at least 2 grid points")
-        return [start, stop, count]
-    raise ConfigError(f"unknown config key {key!r}")
+    row = _KEYS[key]
+    if value is None and row.default is None:
+        return None
+    value = row.parse(value, key)
+    if row.choices is not None and value not in row.choices:
+        raise ConfigError(f"{key} must be one of {row.choices}, got {value!r}")
+    return value
 
 
 def parse_config_text(text: str) -> dict:
@@ -214,7 +260,7 @@ def parse_config_text(text: str) -> dict:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
@@ -232,7 +278,7 @@ def serialize_config(values: dict) -> str:
 
     ``parse_config_text(serialize_config(v))`` recovers ``v`` exactly.
     """
-    return "".join(f"{key} = {values[key]!r}\n" for key in _DEFAULTS)
+    return "".join(f"{key} = {values[key]!r}\n" for key in _KEYS)
 
 
 def config_hash(values: dict) -> str:
@@ -251,7 +297,7 @@ class RunConfig:
     """One resolved run: command, parameters, and which keys were set.
 
     Parameters are read as attributes (``cfg.replicas``); their names and
-    defaults are the keys of ``_DEFAULTS``.
+    defaults are the rows of ``_KEYS``.
     """
 
     command: str
@@ -370,23 +416,6 @@ def _fmt(x: float) -> str:
     return format(x, "g")
 
 
-# ---------------------------------------------------------------------------
-# mark-family presets for the point-process checks
-# ---------------------------------------------------------------------------
-
-
-def mark_preset(family: str) -> MarkSpec:
-    if family == "constant":
-        return MarkSpec("constant", cx=1.3, cy=0.7)
-    if family == "lognormal":
-        return MarkSpec("lognormal", shift=1.0, sigma_x=0.4, sigma_y=0.35, rho=0.6)
-    if family == "two_point":
-        return MarkSpec("two_point", xs=(1.0, 2.0), ys=(0.5, 1.5), p=0.6)
-    raise ConfigError(
-        f"mark_family must be constant, lognormal, or two_point, got {family!r}"
-    )
-
-
 def expected_masses(rsb: RSBParams) -> list:
     """The overlap distribution the weights must reproduce, r = 1..k+1."""
     jumps = [rsb.m[r] - rsb.m[r - 1] for r in range(1, rsb.k + 1)]
@@ -415,15 +444,16 @@ def mass_records(
 
 
 def cmd_pd(cfg: RunConfig):
-    records = []
-    for i, mv in enumerate(cfg.m):
+    for mv in cfg.m:
         if not 0.0 < mv < 1.0:
             raise ConfigError(f"pd exponent m = {mv} outside (0, 1)")
+    records = []
+    for i, mv in enumerate(cfg.m):
         est = estimate_pair_sum(mv, cfg.n_max, cfg.replicas, child_seed(cfg.seed, 10 + i))
         records.append(
             identity_check(f"pd_pair_sum_m{_fmt(mv)}", est, Exact(1.0 - mv), cfg.tolerance)
         )
-    spec = mark_preset(cfg.mark_family)
+    spec = MARK_PRESETS[cfg.mark_family]
     m0 = cfg.m[0]
     # The moment identities need more replicas than the other checks.
     replicas = max(cfg.replicas, 1000)
@@ -519,6 +549,7 @@ def cmd_sk_exact(cfg: RunConfig):
             rsb=cfg.rsb_params() if fixed_params else None, optimize_k=cfg.k,
             tolerance_multiplier=cfg.tolerance,
         )
+        rec.extras["replicas"] = replicas
         result = {
             "free_energy": rec.lhs,
             "std_error": rec.lhs_se,
@@ -538,6 +569,12 @@ def cmd_sk_exact(cfg: RunConfig):
 
 
 def cmd_interpolate(cfg: RunConfig):
+    # The phi check writes its t-grid series only when csv_out is set.
+    grid = cfg.check == "phi" and cfg.csv_out
+    if grid:
+        for t in cfg.t_grid:
+            if not 0.0 <= t <= 1.0:
+                raise ConfigError(f"t_grid value {t} outside [0, 1]")
     mix = cfg.mixture_fn()
     rsb = cfg.rsb_params()
     records, series = [], None
@@ -556,14 +593,12 @@ def cmd_interpolate(cfg: RunConfig):
                 "phi_t1_vs_enumeration", est1, fe, cfg.tolerance, extras={"replicas": replicas}
             )
         )
-        if cfg.csv_out:
+        if grid:
             seed_g = child_seed(cfg.seed, 63)
             rows = []
             # One seed for the whole grid: common random numbers keep the
             # curve smooth in t.
             for t in cfg.t_grid:
-                if not 0.0 <= t <= 1.0:
-                    raise ConfigError(f"t_grid value {t} outside [0, 1]")
                 est = phi_t(cfg.N, t, mix, rsb, cfg.b, cfg.h, cfg.replicas, seed_g)
                 rows.append((t, est.mean, est.std_error, est.allowance))
             series = (("t", "phi", "std_error", "allowance"), rows)
@@ -588,10 +623,6 @@ def cmd_interpolate(cfg: RunConfig):
                 child_seed(cfg.seed, 66), cfg.tolerance,
             )
             records.append(report.record)
-    else:
-        raise ConfigError(
-            f"check must be one of {INTERPOLATE_CHECKS}, got {cfg.check!r}"
-        )
     return records, None, series
 
 
@@ -602,8 +633,6 @@ def cmd_verify_all(cfg: RunConfig):
     Step seeds derive from (master, step index), so the report is a pure
     function of the seed and preset.
     """
-    if cfg.preset not in PRESETS:
-        raise ConfigError(f"preset must be one of {PRESETS}, got {cfg.preset!r}")
     smoke = cfg.preset == "smoke"
 
     def n(full, small):
@@ -619,12 +648,12 @@ def cmd_verify_all(cfg: RunConfig):
     est = estimate_pair_sum(0.5, 10**5, n(3000, 400), seed(0))
     records.append(identity_check("pd_pair_sum_m0.5", est, Exact(0.5), tol))
     for family in ("constant", "lognormal"):
-        moments = corollary_moments(0.5, mark_preset(family), n(2000, 1000), 10**5, seed(1))
+        moments = corollary_moments(0.5, MARK_PRESETS[family], n(2000, 1000), 10**5, seed(1))
         for name, lhs, rhs in moments:
             records.append(identity_check(f"corollary_{name}_{family}", lhs, rhs, tol))
     for family, statistic in (("lognormal", "pair_sum"), ("two_point", "mean_mark")):
         marked, tilted = verify_invariance(
-            0.6, mark_preset(family), statistic, n(2000, 400), 10**5, seed(2)
+            0.6, MARK_PRESETS[family], statistic, n(2000, 400), 10**5, seed(2)
         )
         records.append(
             identity_check(f"invariance_{statistic}_{family}", marked, tilted, tol)
@@ -740,28 +769,6 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _literal(text: str):
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        raise argparse.ArgumentTypeError(f"not a Python literal: {text!r}") from None
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="path to a key = value config file")
-    for key in ("seed", "replicas", "N", "b", "nodes"):
-        sub.add_argument(f"--{key}", type=int, default=argparse.SUPPRESS)
-    # --n_max stays as an alias of the dashed spelling.
-    sub.add_argument("--n-max", "--n_max", dest="n_max", type=int, default=argparse.SUPPRESS)
-    for key in ("h", "t", "step", "tolerance"):
-        sub.add_argument(f"--{key}", type=float, default=argparse.SUPPRESS)
-    for key in ("mixture", "m", "q", "t_grid", "r"):
-        flag = key.replace("_", "-")
-        sub.add_argument(f"--{flag}", dest=key, type=_literal, default=argparse.SUPPRESS)
-    sub.add_argument("--json-out", dest="json_out", default=argparse.SUPPRESS)
-    sub.add_argument("--csv-out", dest="csv_out", default=argparse.SUPPRESS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cascadelab",
@@ -779,30 +786,15 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "pd":
+        sub.add_argument("--config", help="path to a key = value config file")
+        for key, row in _KEYS.items():
+            if row.commands is not None and name not in row.commands:
+                continue
+            bare = {} if row.const is None else {"nargs": "?", "const": row.const}
             sub.add_argument(
-                "--mark-family", dest="mark_family",
-                choices=("constant", "lognormal", "two_point"),
-                default=argparse.SUPPRESS,
+                f"--{key.replace('_', '-')}", *row.aliases, dest=key, type=row.flag_type,
+                choices=row.choices, default=argparse.SUPPRESS, **bare,
             )
-            sub.add_argument(
-                "--statistic", choices=("pair_sum", "max_weight", "mean_mark"),
-                default=argparse.SUPPRESS,
-            )
-        if name in ("optimize", "sk-exact"):
-            sub.add_argument("--k", type=int, default=argparse.SUPPRESS)
-        if name == "bound":
-            sub.add_argument(
-                "--scan-q1", dest="scan_q1", type=_literal, nargs="?",
-                const=[0.02, 0.8, 40], default=argparse.SUPPRESS,
-            )
-        if name == "interpolate":
-            sub.add_argument(
-                "--check", choices=INTERPOLATE_CHECKS, default=argparse.SUPPRESS
-            )
-        if name == "verify-all":
-            sub.add_argument("--preset", choices=PRESETS, default=argparse.SUPPRESS)
     return parser
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .seeding import MODULE_PD, derive_rng, run_replicas
 from .stats import Estimate
 
-_STATISTICS = ("pair_sum", "max_weight", "mean_mark")
+STATISTICS = ("pair_sum", "max_weight", "mean_mark")
 _TILT_POOL = 4096
 # Buckets of the tilted-mark search: a power of two, two per pool entry.
 _BUCKETS = 8192
@@ -183,7 +183,7 @@ def _statistic(name: str, u: np.ndarray, y: np.ndarray) -> float:
         return float(u.max() / s)
     if name == "mean_mark":
         return float((u * y).sum() / s)
-    raise ValueError(f"statistic {name!r} not in menu {_STATISTICS}")
+    raise ValueError(f"statistic {name!r} not in menu {STATISTICS}")
 
 
 def _bucket_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -260,8 +260,8 @@ def verify_invariance(
     Returns (marked Estimate, tilted Estimate).  Both sides share the
     underlying points per replica, which only tightens the comparison.
     """
-    if statistic not in _STATISTICS:
-        raise ValueError(f"statistic {statistic!r} not in menu {_STATISTICS}")
+    if statistic not in STATISTICS:
+        raise ValueError(f"statistic {statistic!r} not in menu {STATISTICS}")
     vals = run_replicas(
         _invariance_chunk, (m, n_max, statistic, mark_spec), seed, replicas
     )

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from cascadelab.cascade import log_partition_identity, overlap_mass, tilted_average
-from cascadelab.cli import mark_preset, run
+from cascadelab.cli import MARK_PRESETS, run
 from cascadelab.functionals import PairFunctional, PathFunctional
 from cascadelab.interpolation import (
     derivative_check,
@@ -83,7 +83,7 @@ def test_criterion_02_moment_identities():
     started = time.perf_counter()
     failures = []
     for j, family in enumerate(("lognormal", "two_point")):
-        spec = mark_preset(family)
+        spec = MARK_PRESETS[family]
         for name, lhs, rhs in corollary_moments(0.5, spec, 5000, 20_000, seed=1201 + j):
             _collect(failures, identity_check(f"{family}_{name}", lhs, rhs))
     _report(2, "marked-process moment identities, two families", 120, started, failures)
@@ -93,7 +93,7 @@ def test_criterion_03_tilt_invariance():
     started = time.perf_counter()
     failures = []
     for j, family in enumerate(("lognormal", "two_point")):
-        spec = mark_preset(family)
+        spec = MARK_PRESETS[family]
         for i, statistic in enumerate(("pair_sum", "max_weight", "mean_mark")):
             marked, tilted = verify_invariance(
                 0.5, spec, statistic, 2000, 20_000, seed=1301 + 10 * j + i

@@ -412,3 +412,119 @@ def test_non_finite_config_file_value_exits_two(text, tmp_path, capsys):
     assert run(["bound", "--config", str(path), "--m", "[1.0]"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must be finite" in captured.err
+
+
+# One sample value per key, other than its default, as a flag would spell
+# it; a config file quotes the string-valued ones.
+_SAMPLES = {
+    "mixture": "[[2, 0.7], [4, 0.3]]",
+    "m": "[0.3, 0.6]",
+    "q": "[0.2, 0.5]",
+    "N": "5",
+    "b": "30",
+    "n_max": "5000",
+    "replicas": "250",
+    "nodes": "20",
+    "t": "0.25",
+    "t_grid": "[0, 0.5, 1]",
+    "r": "2",
+    "h": "-1",
+    "k": "2",
+    "step": "0.01",
+    "seed": "0",
+    "tolerance": "4",
+    "mark_family": "lognormal",
+    "statistic": "max_weight",
+    "check": "overlap",
+    "preset": "smoke",
+    "scan_q1": "[0.1, 0.5, 5]",
+    "json_out": "out.json",
+    "csv_out": "out.csv",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._KEYS))
+def test_flag_and_config_line_resolve_alike(key):
+    assert set(_SAMPLES) == set(cli._KEYS)
+    row = cli._KEYS[key]
+    command = (row.commands or ("cascade",))[0]
+    text = _SAMPLES[key]
+    literal = repr(text) if row.flag_type is None else text
+    from_file = resolve_config(command, parse_config_text(f"{key} = {literal}\n"), {})
+    ns = cli.build_parser().parse_args([command, "--" + key.replace("_", "-"), text])
+    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+    from_flag = resolve_config(command, {}, flags)
+    assert from_flag.values_dict() == from_file.values_dict()
+    assert from_flag.values[key] != cli._DEFAULTS[key]
+    assert type(from_flag.values[key]) is type(from_file.values[key])
+
+
+def test_flags_exist_only_on_their_commands(capsys):
+    subs = next(
+        action for action in cli.build_parser()._actions if action.dest == "command"
+    ).choices
+    only = {"--k", "--mark-family", "--statistic", "--scan-q1", "--check", "--preset"}
+    owners = {flag: set() for flag in only}
+    for name, sub in subs.items():
+        for flag in only & set(sub._option_string_actions):
+            owners[flag].add(name)
+    assert set(subs) == set(cli._COMMANDS)
+    assert owners == {
+        "--k": {"optimize", "sk-exact"},
+        "--mark-family": {"pd"},
+        "--statistic": {"pd"},
+        "--scan-q1": {"bound"},
+        "--check": {"interpolate"},
+        "--preset": {"verify-all"},
+    }
+    assert run(["bound", "--k", "2"]) == 2
+    assert "unrecognized arguments: --k 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [("mark_family", "pd"), ("statistic", "pd"), ("check", "interpolate"),
+     ("preset", "verify-all")],
+)
+def test_bad_config_choice_exits_before_the_command(key, command, tmp_path, monkeypatch, capsys):
+    def not_reached(cfg):
+        raise AssertionError(f"{command} ran with {key} = {cfg.values[key]!r}")
+
+    monkeypatch.setitem(cli._COMMANDS, command, not_reached)
+    path = tmp_path / "run.cfg"
+    path.write_text(f'{key} = "foo"\n')
+    assert run([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key} must be one of {cli._KEYS[key].choices}, got 'foo'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("estimate_pair_sum", ["pd", "--m", "[0.5, 1.5]"]),
+        ("phi_t", ["interpolate", "--check", "phi", "--t-grid", "[0.5, 1.5]"]),
+    ],
+)
+def test_cross_key_usage_errors_run_nothing(name, argv, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(cli, name, counted)
+    csv_out = tmp_path / "grid.csv"
+    assert run(argv + ["--csv-out", str(csv_out)]) == 2
+    captured = capsys.readouterr()
+    assert calls == [] and not csv_out.exists()
+    assert captured.out == "" and "1.5 outside" in captured.err
+
+
+def test_sk_exact_bound_records_replica_floor(capsys):
+    argv = ["sk-exact", "--N", "4", "--m", "[1.0]", "--q", "[0.5]", "--replicas", "50"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["replicas"] == 50
+    (record,) = report["records"]
+    assert record["name"] == "free_energy_bound" and record["replicas"] == 200

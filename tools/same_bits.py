@@ -6,7 +6,8 @@ REV is checked out with ``git worktree add`` into a temporary directory.
 A fixed list of cascadelab commands then runs there and in this working
 tree, each as ``python -m cascadelab.cli`` with ``PYTHONPATH`` set to the
 side's ``src/``. A report's ``generated_at`` line is dropped, and the
-rest of standard output is hashed with SHA-256. The script prints each
+rest of standard output is hashed with SHA-256; a usage error leaves
+standard output empty, so it compares by exit status. The script prints each
 command's exit status and hash on both sides, and exits with status 1
 if any command differs. The worktree is removed at the end.
 """
@@ -46,6 +47,13 @@ COMMANDS = [
 ] + [
     (f"interpolate {check}", "1", ["interpolate", "--check", check, *_INTERP])
     for check in ("phi", "derivative", "overlap", "error-term")
+] + [
+    # Usage errors: stdout is empty, so these compare by exit status, and
+    # a change to which inputs are refused shows up.
+    ("usage: pd m = 1.5", "1", ["pd", "--m", "[0.5, 1.5]"]),
+    ("usage: interpolate --check bogus", "1", ["interpolate", "--check", "bogus"]),
+    ("usage: bound --k", "1", ["bound", "--k", "2"]),
+    ("usage: cascade --tolerance -1", "1", ["cascade", "--tolerance", "-1"]),
 ]
 
 
