@@ -24,6 +24,7 @@ per-operation notes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .seeding import (
     MODULE_FIELDS,
     MODULE_MARKS,
     derive_rng,
+    replica_rows,
     run_replicas,
     stream_key,
 )
@@ -225,14 +227,8 @@ def build_cascade(rsb: RSBParams, b: int, seed) -> Cascade:
 # ---------------------------------------------------------------------------
 
 
-def _overlap_chunk(args, master, start, stop):
-    rsb, b = args
-    out = np.empty((stop - start, rsb.k + 1, 2))
-    for rep in range(start, stop):
-        casc = build_cascade(rsb, b, (master, _OP_OVERLAP, rep))
-        out[rep - start, :, 0] = casc.overlap_mass_values()
-        out[rep - start, :, 1] = casc.overlap_mass_allowances()
-    return out
+def _read_overlap(casc: Cascade) -> np.ndarray:
+    return np.stack([casc.overlap_mass_values(), casc.overlap_mass_allowances()], axis=1)
 
 
 def overlap_mass(rsb: RSBParams, b: int, replicas: int, seed: int) -> list:
@@ -243,7 +239,8 @@ def overlap_mass(rsb: RSBParams, b: int, replicas: int, seed: int) -> list:
     that sum to one exactly per realization; each attached allowance
     bounds the distance to the untruncated target m_r - m_{r-1}.
     """
-    vals = run_replicas(_overlap_chunk, (rsb, b), seed, replicas)
+    args = ((_OP_OVERLAP,), partial(build_cascade, rsb, b), _read_overlap)
+    vals = run_replicas(replica_rows, args, seed, replicas)
     return [Estimate.from_pairs(vals[:, j]) for j in range(rsb.k + 1)]
 
 
@@ -275,11 +272,18 @@ def leaf_functional(x_fn: PathFunctional, marks, b: int, k: int) -> np.ndarray:
 
 
 def _tilted_draw(rsb: RSBParams, b: int, x_fn: PathFunctional, taus, base: tuple):
-    """One cascade with its marks: (cascade, marks, X, log w + X)."""
+    """One cascade with its marks: (cascade, marks, X, p, log Z).
+
+    p is proportional to w exp(X) and normalized; Z = sum w exp(X).
+    """
     casc = build_cascade(rsb, b, base)
     marks = sample_marks(b, rsb.k, taus, base)
     x = leaf_functional(x_fn, marks, b, rsb.k)
-    return casc, marks, x, np.log(casc.w) + x
+    a = np.log(casc.w) + x
+    amax = a.max()
+    e = np.exp(a - amax)
+    total = e.sum()
+    return casc, marks, x, e / total, float(amax + np.log(total))
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +291,15 @@ def _tilted_draw(rsb: RSBParams, b: int, x_fn: PathFunctional, taus, base: tuple
 # ---------------------------------------------------------------------------
 
 
-def _logpart_chunk(args, master, start, stop):
-    rsb, b, x_fn, taus = args
-    out = np.empty((stop - start, 2))
-    for rep in range(start, stop):
-        casc, _, x, a = _tilted_draw(rsb, b, x_fn, taus, (master, _OP_LOGPART, rep))
-        amax = a.max()
-        out[rep - start, 0] = float(amax + np.log(np.exp(a - amax).sum()))
-        # Allowance: relative missing mass, scaled up when the kept
-        # leaves show that exp(X) correlates with the weights (rho is
-        # the unweighted-to-weighted mean ratio of exp X).
-        eps = casc.cumulative_losses()[-1]
-        ex = np.exp(x - x.max())
-        rho = float(ex.mean() / (casc.w * ex).sum())
-        out[rep - start, 1] = eps * (1.0 + abs(rho - 1.0))
-    return out
+def _read_logpart(draw):
+    casc, _, x, _, log_z = draw
+    # Allowance: relative missing mass, scaled up when the kept leaves
+    # show that exp(X) correlates with the weights (rho is the
+    # unweighted-to-weighted mean ratio of exp X).
+    eps = casc.cumulative_losses()[-1]
+    ex = np.exp(x - x.max())
+    rho = float(ex.mean() / (casc.w * ex).sum())
+    return log_z, eps * (1.0 + abs(rho - 1.0))
 
 
 def log_partition_identity(
@@ -319,8 +317,8 @@ def log_partition_identity(
     quadrature, an independent method; the two agree for the ideal
     cascade, and the estimate carries a truncation allowance.
     """
-    vals = run_replicas(_logpart_chunk, (rsb, b, x_fn, tuple(taus)), seed, replicas)
-    est = Estimate.from_pairs(vals)
+    args = ((_OP_LOGPART,), partial(_tilted_draw, rsb, b, x_fn, tuple(taus)), _read_logpart)
+    est = Estimate.from_pairs(run_replicas(replica_rows, args, seed, replicas))
     reference = mark_chain_root(x_fn, rsb, tuple(taus), quad)
     return est, reference
 
@@ -336,30 +334,23 @@ def _pair_value_bound(y: PairFunctional, base_abs_max: float) -> float:
     return 2.0 * base_abs_max
 
 
-def _tilt_chunk(args, master, start, stop):
-    rsb, b, x_fn, y_fn, taus, restricted_r = args
-    out = np.empty((stop - start, 2))
-    for rep in range(start, stop):
-        casc, marks, _, a = _tilted_draw(rsb, b, x_fn, taus, (master, _OP_TILT, rep))
-        p = np.exp(a - a.max())
-        p /= p.sum()
-        eps = casc.cumulative_losses()[-1]
-        if restricted_r is None:
-            y = leaf_functional(y_fn, marks, b, rsb.k)
-            stat = float((p * y).sum())
-            scale = float(np.abs(y).max())
+def _read_tilt(y_fn, restricted_r, draw):
+    casc, marks, _, p, _ = draw
+    eps = casc.cumulative_losses()[-1]
+    if restricted_r is None:
+        y = leaf_functional(y_fn, marks, casc.b, casc.k)
+        stat = float((p * y).sum())
+        scale = float(np.abs(y).max())
+    else:
+        yb = leaf_functional(y_fn.base, marks, casc.b, casc.k)
+        if y_fn.form == "pair_product":
+            d = prefix_cross(p * yb, p * yb)
+            stat = d[restricted_r - 1] - d[restricted_r]
         else:
-            yb = leaf_functional(y_fn.base, marks, b, rsb.k)
-            if y_fn.form == "pair_product":
-                d = prefix_cross(p * yb, p * yb)
-                stat = d[restricted_r - 1] - d[restricted_r]
-            else:
-                d = prefix_cross(p * yb, p)
-                stat = 2.0 * (d[restricted_r - 1] - d[restricted_r])
-            scale = _pair_value_bound(y_fn, float(np.abs(yb).max()))
-        out[rep - start, 0] = stat
-        out[rep - start, 1] = eps * (2.0 - eps) * (abs(stat) + scale)
-    return out
+            d = prefix_cross(p * yb, p)
+            stat = 2.0 * (d[restricted_r - 1] - d[restricted_r])
+        scale = _pair_value_bound(y_fn, float(np.abs(yb).max()))
+    return stat, eps * (2.0 - eps) * (abs(stat) + scale)
 
 
 def tilted_average(
@@ -393,10 +384,9 @@ def tilted_average(
         reference = m_jump * mark_chain_restricted(
             x_fn, y_fn, rsb, tuple(taus), restricted_r, quad
         )
-    vals = run_replicas(
-        _tilt_chunk, (rsb, b, x_fn, y_fn, tuple(taus), restricted_r), seed, replicas
-    )
-    est = Estimate.from_pairs(vals)
+    build = partial(_tilted_draw, rsb, b, x_fn, tuple(taus))
+    args = ((_OP_TILT,), build, partial(_read_tilt, y_fn, restricted_r))
+    est = Estimate.from_pairs(run_replicas(replica_rows, args, seed, replicas))
     return est, reference
 
 
@@ -413,26 +403,20 @@ def _weight_statistic(name: str, p: np.ndarray) -> float:
     raise ValueError(f"unknown statistic {name!r}")
 
 
-def _invariance_chunk(args, master, start, stop):
-    rsb, b, x_fn, taus, statistic = args
-    out = np.empty((stop - start, 4))
-    for rep in range(start, stop):
-        tilt_base = (master, _OP_INVARIANCE, rep, 0)
-        casc, _, _, a = _tilted_draw(rsb, b, x_fn, taus, tilt_base)
-        p = np.exp(a - a.max())
-        p /= p.sum()
-        plain = build_cascade(rsb, b, (master, _OP_INVARIANCE, rep, 1))
-        s_tilt = _weight_statistic(statistic, p)
-        s_plain = _weight_statistic(statistic, plain.w)
-        e_tilt = casc.cumulative_losses()[-1]
-        e_plain = plain.cumulative_losses()[-1]
-        out[rep - start] = (
-            s_tilt,
-            e_tilt * (2.0 - e_tilt) * s_tilt,
-            s_plain,
-            e_plain * (2.0 - e_plain) * s_plain,
-        )
-    return out
+def _invariance_draws(rsb: RSBParams, b: int, x_fn: PathFunctional, taus, seed: tuple):
+    """A tilted draw from stream seed + (0,), a plain cascade from seed + (1,)."""
+    return _tilted_draw(rsb, b, x_fn, taus, seed + (0,)), build_cascade(rsb, b, seed + (1,))
+
+
+def _read_invariance(statistic, draws):
+    """(tilted statistic, allowance, plain statistic, allowance)."""
+    (tilted, _, _, p, _), plain = draws
+    row = []
+    for casc, weights in ((tilted, p), (plain, plain.w)):
+        s = _weight_statistic(statistic, weights)
+        eps = casc.cumulative_losses()[-1]
+        row += [s, eps * (2.0 - eps) * s]
+    return row
 
 
 def weight_tilt_invariance(
@@ -453,9 +437,9 @@ def weight_tilt_invariance(
     """
     if statistic not in INVARIANCE_STATISTICS:
         raise ValueError(f"statistic must be one of {INVARIANCE_STATISTICS}")
-    vals = run_replicas(
-        _invariance_chunk, (rsb, b, x_fn, tuple(taus), statistic), seed, replicas
-    )
+    build = partial(_invariance_draws, rsb, b, x_fn, tuple(taus))
+    args = ((_OP_INVARIANCE,), build, partial(_read_invariance, statistic))
+    vals = run_replicas(replica_rows, args, seed, replicas)
     return Estimate.from_pairs(vals[:, :2]), Estimate.from_pairs(vals[:, 2:])
 
 
@@ -520,15 +504,9 @@ def attach_fields(
     )
 
 
-def _fieldcov_chunk(args, master, start, stop):
-    rsb, mixture, N, b, alpha, beta, i, j = args
-    row_a = np.ravel_multi_index(alpha, (b,) * rsb.k)
-    row_b = np.ravel_multi_index(beta, (b,) * rsb.k)
-    out = np.empty(stop - start)
-    for rep in range(start, stop):
-        fields = attach_fields(b, mixture, rsb, N, (master, _OP_FIELDCOV, rep)).all_fields()
-        out[rep - start] = fields[row_a, i] * fields[row_b, j]
-    return out
+def _read_fieldcov(row_a, row_b, i, j, fields: CascadeFields) -> float:
+    s = fields.all_fields()
+    return s[row_a, i] * s[row_b, j]
 
 
 def field_covariance(
@@ -555,7 +533,7 @@ def field_covariance(
         raise ValueError("path digits outside 0..b-1")
     if not (0 <= i < N and 0 <= j < N):
         raise ValueError(f"site indices ({i}, {j}) outside 0..{N - 1}")
-    vals = run_replicas(
-        _fieldcov_chunk, (rsb, mixture, N, b, alpha, beta, i, j), seed, replicas
-    )
-    return Estimate.from_values(vals)
+    rows = (np.ravel_multi_index(path, (b,) * rsb.k) for path in (alpha, beta))
+    read = partial(_read_fieldcov, *rows, i, j)
+    args = ((_OP_FIELDCOV,), partial(attach_fields, b, mixture, rsb, N), read)
+    return Estimate.from_values(run_replicas(replica_rows, args, seed, replicas))

@@ -116,6 +116,13 @@ def _number(value, key) -> float:
     return _finite(float(_real(value, key)), key)
 
 
+def _positive(value, key) -> float:
+    value = _number(value, key)
+    if not value > 0.0:
+        raise ConfigError(f"{key} must be > 0, got {value}")
+    return value
+
+
 def _tolerance(value, key) -> float:
     if not 0.0 <= _real(value, key) < math.inf:
         raise ConfigError(f"tolerance must be finite and >= 0, got {value}")
@@ -146,7 +153,11 @@ def _mixture(value, key) -> list:
     for item in value:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ConfigError(f"mixture entries must be [p, beta] pairs, got {item!r}")
-        pairs.append([item[0], _finite(float(item[1]), "mixture beta")])
+        power, beta = item
+        if isinstance(power, bool) or not isinstance(power, int):
+            raise ConfigError(f"mixture powers must be integers, got {power!r}")
+        float(power)  # a power past the float range overflows, a usage error
+        pairs.append([power, _number(beta, "mixture beta")])
     return pairs
 
 
@@ -164,12 +175,14 @@ def _scan(value, key) -> list:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ConfigError("scan_q1 must be [start, stop, count]")
-    start, stop, count = float(value[0]), float(value[1]), int(value[2])
+    start, stop, count = (_finite(float(v), key) for v in value)
     if not (0.0 < start < stop < 1.0):
         raise ConfigError("scan_q1 must satisfy 0 < start < stop < 1")
+    if count != int(count):
+        raise ConfigError(f"scan_q1 count must be a whole number, got {value[2]!r}")
     if count < 2:
         raise ConfigError("scan_q1 needs at least 2 grid points")
-    return [start, stop, count]
+    return [start, stop, int(count)]
 
 
 def _literal(text: str):
@@ -218,7 +231,7 @@ _KEYS = {
     "r": _Key(None, _levels),
     "h": _Key(0.0, _number, float),
     "k": _Key(None, _integer(), int, commands=("optimize", "sk-exact")),
-    "step": _Key(0.02, _number, float),
+    "step": _Key(0.02, _positive, float),
     "seed": _Key(1729, _integer(0), int),
     "tolerance": _Key(3.0, _tolerance, float),
     "mark_family": _Key("two_point", _string, None, tuple(MARK_PRESETS), ("pd",)),
@@ -239,7 +252,10 @@ def _validated(key: str, value):
     row = _KEYS[key]
     if value is None and row.default is None:
         return None
-    value = row.parse(value, key)
+    try:
+        value = row.parse(value, key)
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     if row.choices is not None and value not in row.choices:
         raise ConfigError(f"{key} must be one of {row.choices}, got {value!r}")
     return value

@@ -30,7 +30,7 @@ from .cascade import (
     prefix_cross,
 )
 from .mixture import MixtureFunction, RSBParams, delta_array, theta
-from .seeding import MODULE_INTERP, MODULE_SK, derive_rng, run_replicas, stream_key
+from .seeding import MODULE_INTERP, MODULE_SK, derive_rng, replica_rows, run_replicas, stream_key
 from .sk_model import (
     HamiltonianTable,
     logsumexp,
@@ -285,20 +285,6 @@ def build_system(
     )
 
 
-def _system_chunk(args, master, start, stop):
-    """``read(build(seed))`` for each replica's seed, one row per replica.
-
-    ``build`` is a ``partial`` of ``build_system`` or
-    ``build_coupled_system`` that lacks only the seed, and ``read`` a
-    module-level function or a ``partial`` of one, so the chunk pickles
-    for the process pool.  Replica ``rep`` of operation ``op`` draws its
-    disorder from stream (master, MODULE_INTERP, op, rep).
-    """
-    op, build, read = args
-    rows = [read(build((master, MODULE_INTERP, op, rep))) for rep in range(start, stop)]
-    return np.array(rows, dtype=float)
-
-
 def _read_phi(system: GibbsSystem):
     return system.phi_value(), system.phi_allowance()
 
@@ -317,8 +303,8 @@ def phi_t(
     _check_joint_budget(N, rsb, b, t)
     rsb.requires_simulable()
     build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = (_OP_PHI, build, _read_phi)
-    return Estimate.from_pairs(run_replicas(_system_chunk, args, seed, disorder_replicas))
+    args = ((MODULE_INTERP, _OP_PHI), build, _read_phi)
+    return Estimate.from_pairs(run_replicas(replica_rows, args, seed, disorder_replicas))
 
 
 def _pair_terms(system: GibbsSystem):
@@ -392,13 +378,15 @@ def derivative_check(
     tolerance_multiplier: float = 3.0,
 ) -> DerivativeReport:
     """Central difference of phi against the exact Gibbs-average formula."""
+    if not step > 0.0:
+        raise ValueError(f"step must be > 0, got {step}")
     if not step < t < 1.0 - step:
         raise ValueError(f"t = {t} outside [{step}, {1.0 - step}]")
     _check_joint_budget(N, rsb, b, t)
     rsb.requires_simulable()
     build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = (_OP_DERIVATIVE, build, partial(_read_derivative, step))
-    vals = run_replicas(_system_chunk, args, seed, replicas)
+    args = ((MODULE_INTERP, _OP_DERIVATIVE), build, partial(_read_derivative, step))
+    vals = run_replicas(replica_rows, args, seed, replicas)
     constant = -0.5 * theta(mixture, 1.0)
     numeric = Estimate.from_values(vals[:, 0])
     theta_term = Estimate.from_values(0.5 * vals[:, 1])
@@ -447,8 +435,8 @@ def gibbs_overlap_mass(
     _check_joint_budget(N, rsb, b, t)
     rsb.requires_simulable()
     build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = (_OP_MASS, build, GibbsSystem.wedge_masses)
-    vals = run_replicas(_system_chunk, args, seed, replicas)
+    args = ((MODULE_INTERP, _OP_MASS), build, GibbsSystem.wedge_masses)
+    vals = run_replicas(replica_rows, args, seed, replicas)
     return [Estimate.from_pairs(vals[:, j]) for j in range(rsb.k + 1)]
 
 
@@ -619,12 +607,12 @@ def error_term_check(
     rsb.requires_simulable()
     gap = rsb.m[r] - rsb.m[r - 1]
     build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = (_OP_ERROR_PLAIN, build, partial(_restricted_delta, r=r))
-    lhs = Estimate.from_pairs(run_replicas(_system_chunk, args, seed, replicas))
+    args = ((MODULE_INTERP, _OP_ERROR_PLAIN), build, partial(_restricted_delta, r=r))
+    lhs = Estimate.from_pairs(run_replicas(replica_rows, args, seed, replicas))
     build = partial(build_coupled_system, N, t, r, mixture, rsb, b, h)
-    args = (_OP_ERROR_COUPLED, build, CoupledGibbsSystem.delta_average)
+    args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, CoupledGibbsSystem.delta_average)
     # (value, allowance) rows of the coupled mean, times the exponent gap
-    coupled = gap * run_replicas(_system_chunk, args, seed, replicas)
+    coupled = gap * run_replicas(replica_rows, args, seed, replicas)
     rhs = Estimate.from_pairs(coupled)
     coupled_average = Estimate.from_values(
         coupled[:, 0] / gap, allowance=float(coupled[:, 1].mean()) / gap

@@ -71,8 +71,16 @@ class MixtureFunction:
 
 
 def make_mixture(coefficients) -> MixtureFunction:
-    """Build a MixtureFunction from an iterable of (p, beta_p) pairs."""
-    return MixtureFunction(tuple((int(p), float(b)) for p, b in coefficients))
+    """Build a MixtureFunction from an iterable of (p, beta_p) pairs.
+
+    A power is kept as an int; one that is not a whole number is refused,
+    not truncated.
+    """
+    pairs = [(p, float(b)) for p, b in coefficients]
+    for p, _ in pairs:
+        if int(p) != p:
+            raise ValueError(f"power must be a whole number, got {p!r}")
+    return MixtureFunction(tuple((int(p), b) for p, b in pairs))
 
 
 def sk_mixture(beta: float) -> MixtureFunction:

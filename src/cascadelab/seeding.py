@@ -6,6 +6,11 @@ spawn-key mechanism.  Replicas therefore never share state, and any
 partition of the replica range across workers reproduces the serial
 result bit for bit.
 
+``replica_rows`` is the replica loop of every cascade, disorder and
+Gibbs estimator: a build from the replica's seed, then a read of one
+row.  Only ``pd_process`` keeps chunk functions of its own: they refill
+buffers allocated once per chunk, one replica's n_max points at a time.
+
 The tree samplers in ``cascade`` take one stream per tree level.
 ``STREAM_VERSION`` names that layout and goes into every report:
 version 1 was one stream per (level, parent) node, version 2 is one
@@ -75,6 +80,19 @@ def worker_count() -> int:
 def _chunks(n: int):
     for start in range(0, n, CHUNK_SIZE):
         yield start, min(start + CHUNK_SIZE, n)
+
+
+def replica_rows(args, master, start, stop):
+    """``read(build(seed))`` for each replica's seed, one row per replica.
+
+    ``args`` is ``(key, build, read)``: replica ``rep`` is built from the
+    seed ``(master, *key, rep)``.  ``build`` is a ``partial`` of a builder
+    that lacks only the seed, and ``read`` a module-level function or a
+    ``partial`` of one, so the chunk pickles for the process pool.
+    """
+    key, build, read = args
+    rows = [read(build((master, *key, rep))) for rep in range(start, stop)]
+    return np.array(rows, dtype=float)
 
 
 def run_replicas(chunk_fn, args: tuple, master: int, n_replicas: int) -> np.ndarray:

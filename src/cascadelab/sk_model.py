@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .mixture import MixtureFunction
-from .seeding import MODULE_SK, derive_rng, run_replicas
+from .seeding import MODULE_SK, derive_rng, replica_rows, run_replicas
 from .stats import CheckRecord, Estimate, identity_check
 
 MAX_SITES = 14
@@ -158,16 +158,13 @@ def covariance_exact(N: int, mix: MixtureFunction, sigma1, sigma2) -> float:
     return total
 
 
-def _covariance_chunk(args, master, start, stop):
-    N, mixture, sigma1, sigma2 = args
-    idx1 = _config_index(sigma1)
-    idx2 = _config_index(sigma2)
-    out = np.empty(stop - start)
-    for rep in range(start, stop):
-        rng = derive_rng(master, MODULE_SK, rep)
-        values = sample_hamiltonian(N, mixture, rng).values
-        out[rep - start] = values[idx1] * values[idx2]
-    return out
+def _table(N: int, mixture: MixtureFunction, seed: tuple) -> HamiltonianTable:
+    """The disorder draw from stream ``seed``, a (master, key...) tuple."""
+    return sample_hamiltonian(N, mixture, derive_rng(*seed))
+
+
+def _read_covariance(idx1: int, idx2: int, table: HamiltonianTable) -> float:
+    return table.values[idx1] * table.values[idx2]
 
 
 def _config_index(sigma) -> int:
@@ -179,9 +176,8 @@ def hamiltonian_covariance(
 ) -> Estimate:
     """Monte Carlo estimate of E H(sigma1) H(sigma2) / N over disorder."""
     _check_size(N, mix)
-    vals = run_replicas(
-        _covariance_chunk, (N, mix, tuple(sigma1), tuple(sigma2)), seed, replicas
-    )
+    read = partial(_read_covariance, _config_index(sigma1), _config_index(sigma2))
+    vals = run_replicas(replica_rows, ((MODULE_SK,), partial(_table, N, mix), read), seed, replicas)
     return Estimate.from_values(vals / N)
 
 
@@ -213,15 +209,8 @@ def log_partition(table: HamiltonianTable, h: float) -> float:
     return float(logsumexp(table.values + h * spin_sums(table.N)))
 
 
-def _free_energy_chunk(args, master, start, stop):
-    N, mixture, h = args
-    shift = h * spin_sums(N)
-    out = np.empty(stop - start)
-    for rep in range(start, stop):
-        rng = derive_rng(master, MODULE_SK, rep)
-        table = sample_hamiltonian(N, mixture, rng)
-        out[rep - start] = float(logsumexp(table.values + shift)) / N
-    return out
+def _read_free_energy(h: float, table: HamiltonianTable) -> float:
+    return log_partition(table, h) / table.N
 
 
 def exact_free_energy(
@@ -231,7 +220,8 @@ def exact_free_energy(
     _check_size(N, mixture)
     if disorder_replicas < 200:
         raise ValueError("disorder_replicas must be >= 200")
-    vals = run_replicas(_free_energy_chunk, (N, mixture, h), seed, disorder_replicas)
+    args = ((MODULE_SK,), partial(_table, N, mixture), partial(_read_free_energy, h))
+    vals = run_replicas(replica_rows, args, seed, disorder_replicas)
     return Estimate.from_values(vals)
 
 

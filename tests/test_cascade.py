@@ -1,5 +1,7 @@
 """Hierarchical weights: masses, fields, log-partition, and tilting."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -8,7 +10,7 @@ from cascadelab.cascade import (
     _OP_FIELDCOV,
     _OP_OVERLAP,
     MODULE_CASCADE,
-    _fieldcov_chunk,
+    _read_fieldcov,
     attach_fields,
     build_cascade,
     field_covariance,
@@ -41,6 +43,7 @@ from cascadelab.seeding import (
     MODULE_MARKS,
     MODULE_SK,
     derive_rng,
+    replica_rows,
 )
 from cascadelab.sk_model import sample_hamiltonian, spin_matrix, spin_sums
 from cascadelab.stats import Estimate, Exact, identity_check
@@ -507,5 +510,8 @@ def test_field_covariance_matches_path_walk():
                 parent = parent * b + digit
             fields.append(total)
         want[rep] = fields[0][0] * fields[1][1]
-    got = _fieldcov_chunk((RSB2, mix, N, b, alpha, beta, 0, 1), 29, 0, 300)
+    rows = (np.ravel_multi_index(path, (b,) * RSB2.k) for path in (alpha, beta))
+    build = partial(attach_fields, b, mix, RSB2, N)
+    got = replica_rows(((_OP_FIELDCOV,), build, partial(_read_fieldcov, *rows, 0, 1)), 29, 0, 300)
     assert np.array_equal(got, want)
+    assert field_covariance(RSB2, mix, N, b, alpha, beta, 0, 1, 300, 29) == Estimate.from_values(want)

@@ -528,3 +528,51 @@ def test_sk_exact_bound_records_replica_floor(capsys):
     assert report["config"]["replicas"] == 50
     (record,) = report["records"]
     assert record["name"] == "free_energy_bound" and record["replicas"] == 200
+
+
+_BIG = "1" + "0" * 400  # an integer past the float range
+_BOUND = ["bound", "--m", "[1.0]", "--q", "[0.5]"]
+_DERIVATIVE = ["interpolate", "--check", "derivative", "--N", "2", "--b", "4", "--replicas", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["cascade", "--m", f"[{_BIG}]"], None, "m: int too large to convert to float"),
+        (["bound", "--m", "[1.0]"], f"h = {_BIG}\n", "h: int too large to convert to float"),
+        (["bound", "--scan-q1", "[0.1, 0.5, 1e999]", "--csv-out", "s.csv"], None,
+         "scan_q1 must be finite"),
+        (["bound", "--scan-q1", "[0.1, 0.5, 2.5]", "--csv-out", "s.csv"], None,
+         "scan_q1 count must be a whole number, got 2.5"),
+        (_BOUND + ["--mixture", "[[2.5, 1.0]]"], None, "mixture powers must be integers, got 2.5"),
+        (_BOUND + ["--mixture", "[[True, 1.0]]"], None, "mixture powers must be integers, got True"),
+        (_BOUND + ["--mixture", "[[2, [1.0]]]"], None, "mixture beta must be a number"),
+        (_BOUND + ["--mixture", f"[[{_BIG}, 1.0]]"], None, "mixture: int too large"),
+        (_DERIVATIVE + ["--step", "0"], None, "step must be > 0, got 0.0"),
+        (_DERIVATIVE + ["--step", "-0.1"], None, "step must be > 0, got -0.1"),
+    ],
+    ids=["m-overflow", "config-h-overflow", "scan-inf", "scan-2.5", "power-2.5", "power-bool",
+         "beta-list", "power-overflow", "step-0", "step-negative"],
+)
+def test_out_of_range_values_exit_two_before_the_command(
+    argv, config, message, tmp_path, monkeypatch, capsys
+):
+    command = argv[0]
+
+    def not_reached(cfg):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setitem(cli._COMMANDS, command, not_reached)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("run.cfg").write_text(config)
+        argv = argv + ["--config", "run.cfg"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not Path("s.csv").exists()
+
+
+def test_whole_float_scan_count_is_accepted():
+    assert resolve_config("bound", {}, {"scan_q1": [0.1, 0.5, 40.0]}).scan_q1 == [0.1, 0.5, 40]
+    assert resolve_config("bound", {}, {"scan_q1": [0.1, 0.5, 40]}).scan_q1 == [0.1, 0.5, 40]

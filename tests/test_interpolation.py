@@ -16,7 +16,6 @@ from cascadelab.interpolation import (
     MODULE_INTERP,
     CoupledGibbsSystem,
     _pair_terms,
-    _system_chunk,
     build_coupled_system,
     build_system,
     derivative_check,
@@ -26,6 +25,7 @@ from cascadelab.interpolation import (
 )
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import QuadratureSpec, phi0
+from cascadelab.seeding import replica_rows
 from cascadelab.sk_model import exact_free_energy, spin_matrix, spin_sums
 from cascadelab.stats import Estimate, Exact, identity_check
 
@@ -207,6 +207,16 @@ def test_gibbs_overlap_mass_same_across_workers(monkeypatch):
     assert out["1"] == out["2"]
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_derivative_rejects_nonpositive_step(step, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(interpolation, "build_cascade", not_reached)
+    with pytest.raises(ValueError, match="step must be > 0"):
+        derivative_check(2, 0.5, sk_mixture(0.5), RSB1, 4, 0.3, 10, seed=3, step=step)
+
+
 def test_derivative_rejects_edge_times():
     with pytest.raises(ValueError, match="outside"):
         derivative_check(2, 0.01, sk_mixture(0.5), RSB1, 20, 0.0, 10, seed=1)
@@ -284,7 +294,7 @@ def test_error_term_factorization_small():
 
 
 def _oracle_coupled_rows(N, t, r, mix, rsb, b, h, replicas, seed):
-    # the dedicated coupled replica loop that _system_chunk replaced
+    # the dedicated coupled replica loop that replica_rows replaced
     gap = rsb.m[r] - rsb.m[r - 1]
     out = np.empty((replicas, 2))
     for rep in range(replicas):
@@ -300,8 +310,8 @@ def test_coupled_rows_match_dedicated_loop():
     mix, r, gap = sk_mixture(0.5), 1, RSB2.m[1] - RSB2.m[0]
     oracle = _oracle_coupled_rows(2, 0.5, r, mix, RSB2, 6, 0.3, 12, 23)
     build = partial(build_coupled_system, 2, 0.5, r, mix, RSB2, 6, 0.3)
-    args = (_OP_ERROR_COUPLED, build, CoupledGibbsSystem.delta_average)
-    assert np.array_equal(gap * _system_chunk(args, 23, 0, 12), oracle)
+    args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, CoupledGibbsSystem.delta_average)
+    assert np.array_equal(gap * replica_rows(args, 23, 0, 12), oracle)
     report = error_term_check(2, 0.5, r, mix, RSB2, 6, 0.3, 12, seed=23)
     assert report.rhs == Estimate.from_values(
         oracle[:, 0], allowance=float(oracle[:, 1].mean())

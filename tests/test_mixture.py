@@ -91,6 +91,13 @@ def test_odd_powers_rejected():
     make_mixture([(2, 1.0), (3, 0.0)])
 
 
+def test_fractional_power_rejected_not_truncated():
+    assert make_mixture([(2.0, 0.7)]) == make_mixture([(2, 0.7)])
+    assert type(make_mixture([(2.0, 0.7)]).coefficients[0][0]) is int
+    with pytest.raises(ValueError, match="whole number"):
+        make_mixture([(2.5, 0.7)])
+
+
 def test_empty_and_negative_rejected():
     with pytest.raises(ValueError):
         make_mixture([])

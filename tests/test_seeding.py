@@ -2,12 +2,25 @@
 
 import os
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
 
-from cascadelab.cascade import attach_fields, build_cascade, sample_marks
-from cascadelab.mixture import RSBParams, sk_mixture
+from cascadelab.cascade import (
+    attach_fields,
+    build_cascade,
+    field_covariance,
+    log_partition_identity,
+    overlap_mass,
+    sample_marks,
+    tilted_average,
+    weight_tilt_invariance,
+)
+from cascadelab.functionals import PairFunctional, PathFunctional
+from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
+from cascadelab.recursion import QuadratureSpec
+from cascadelab.sk_model import exact_free_energy, hamiltonian_covariance
 from cascadelab.seeding import (
     CHUNK_SIZE,
     MODULE_CASCADE,
@@ -15,6 +28,7 @@ from cascadelab.seeding import (
     MODULE_MARKS,
     derive_rng,
     derive_word,
+    replica_rows,
     run_replicas,
     stream_key,
     worker_count,
@@ -165,28 +179,76 @@ def _chunk(args, master, start, stop):
     return out
 
 
+def _stream(seed):
+    return derive_rng(*seed)
+
+
+def _shifted_normal(offset, rng):
+    return rng.normal() + offset
+
+
+def _loops(offset):
+    """The same replica loop, hand-written and as ``replica_rows``."""
+    return [
+        (_chunk, (offset,)),
+        (replica_rows, ((9,), _stream, partial(_shifted_normal, offset))),
+    ]
+
+
 def test_run_replicas_matches_direct_loop():
     n = CHUNK_SIZE + 37  # force more than one chunk
-    got = run_replicas(_chunk, (1.5,), 11, n)
     want = np.array([derive_rng(11, 9, rep).normal() + 1.5 for rep in range(n)])
-    assert np.array_equal(got, want)
+    for chunk_fn, args in _loops(1.5):
+        assert np.array_equal(run_replicas(chunk_fn, args, 11, n), want), chunk_fn
 
 
 def test_worker_count_never_changes_results():
     n = CHUNK_SIZE * 2 + 5
     old = os.environ.get("CASCADELAB_WORKERS")
     try:
-        os.environ["CASCADELAB_WORKERS"] = "1"
-        serial = run_replicas(_chunk, (0.0,), 23, n)
-        os.environ["CASCADELAB_WORKERS"] = "3"
-        assert worker_count() == 3
-        parallel = run_replicas(_chunk, (0.0,), 23, n)
+        for chunk_fn, args in _loops(0.0):
+            os.environ["CASCADELAB_WORKERS"] = "1"
+            serial = run_replicas(chunk_fn, args, 23, n)
+            os.environ["CASCADELAB_WORKERS"] = "3"
+            assert worker_count() == 3
+            parallel = run_replicas(chunk_fn, args, 23, n)
+            assert np.array_equal(serial, parallel), chunk_fn
     finally:
         if old is None:
             os.environ.pop("CASCADELAB_WORKERS", None)
         else:
             os.environ["CASCADELAB_WORKERS"] = old
-    assert np.array_equal(serial, parallel)
+
+
+_RSB = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
+_QUAD = QuadratureSpec(nodes_per_level=12, convergence_check=False)
+_X = PathFunctional("linear", coeffs=(0.5, 0.4))
+_Y = PathFunctional("quadratic", coeffs=(0.3, 0.2))
+_MIX = make_mixture([(2, 0.8), (4, 0.3)])
+
+# Each estimator at 300 replicas, two chunks of the replica range.
+_ESTIMATORS = {
+    "overlap_mass": lambda: overlap_mass(_RSB, 4, 300, 5),
+    "log_partition_identity": lambda: log_partition_identity(_RSB, 4, _X, (0.5, 0.5), 300, 5, _QUAD),
+    "tilted_average": lambda: tilted_average(_RSB, 4, _X, _Y, (0.5, 0.5), 300, 5, _QUAD),
+    "tilted_average_restricted": lambda: tilted_average(
+        _RSB, 4, _X, PairFunctional("pair_sum", _X), (0.5, 0.5), 300, 5, _QUAD, restricted_r=1
+    ),
+    "weight_tilt_invariance": lambda: weight_tilt_invariance(_RSB, 4, _X, (0.5, 0.5), "pair_sum", 300, 5),
+    "field_covariance": lambda: field_covariance(_RSB, _MIX, 2, 4, (0, 1), (0, 2), 0, 0, 300, 5),
+    "hamiltonian_covariance": lambda: hamiltonian_covariance(3, _MIX, (1, -1, 1), (1, 1, -1), 300, 5),
+    "exact_free_energy": lambda: exact_free_energy(3, _MIX, 0.3, 300, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_ESTIMATORS))
+def test_estimators_same_at_one_and_two_workers(name, monkeypatch):
+    assert 300 > CHUNK_SIZE
+    out = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("CASCADELAB_WORKERS", workers)
+        out[workers] = _ESTIMATORS[name]()
+    assert out["1"] == out["2"]
 
 
 def test_worker_count_parsing():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cascadelab.mixture import make_mixture, sk_mixture
 from cascadelab.recursion import QuadratureSpec
+from cascadelab.seeding import MODULE_SK, derive_rng
 from cascadelab.sk_model import (
     covariance_exact,
     exact_free_energy,
@@ -25,7 +26,7 @@ from cascadelab.sk_model import (
     spin_sums,
     verify_bound,
 )
-from cascadelab.stats import Exact, identity_check
+from cascadelab.stats import Estimate, Exact, identity_check
 
 LOG2COSH_HALF = math.log(2.0 * math.cosh(0.5))
 QUAD24 = QuadratureSpec(nodes_per_level=24, convergence_check=False)
@@ -268,3 +269,17 @@ def test_logsumexp_matches_scipy():
     assert np.isnan(logsumexp([0.0, np.nan]))
     with pytest.raises(ValueError):
         logsumexp(np.zeros((2, 0)), axis=1)
+
+
+def test_disorder_estimators_match_direct_loop():
+    # replica rep draws its disorder from stream (seed, MODULE_SK, rep)
+    mix, N, h, n, seed = make_mixture([(2, 0.8), (4, 0.3)]), 4, 0.3, 300, 41  # two chunks
+    s1, s2 = (1, -1, 1, 1), (-1, -1, 1, -1)
+    rows = [int(np.flatnonzero((spin_matrix(N) == s).all(axis=1))[0]) for s in (s1, s2)]
+    free, cov = np.empty(n), np.empty(n)
+    for rep in range(n):
+        values = sample_hamiltonian(N, mix, derive_rng(seed, MODULE_SK, rep)).values
+        free[rep] = float(logsumexp(values + h * spin_sums(N))) / N
+        cov[rep] = values[rows[0]] * values[rows[1]]
+    assert exact_free_energy(N, mix, h, n, seed) == Estimate.from_values(free)
+    assert hamiltonian_covariance(N, mix, s1, s2, n, seed) == Estimate.from_values(cov / N)
