@@ -548,6 +548,7 @@ def cmd_optimize(cfg: RunConfig):
         "evaluations": opt.evaluations,
         "restart_values": opt.restart_values,
         "restart_spread": opt.restart_spread,
+        "stationarity": opt.stationarity,
     }
     return [], result, None
 

@@ -2,8 +2,9 @@
 
 The model's covariance function is a finite positive mixture of monomials.
 Everything downstream (Hamiltonian synthesis, field variances, the
-interpolation error density) is written in terms of xi, its derivative,
-theta(x) = x xi'(x) - xi(x), and Delta(a, b) = xi(a) - a xi'(b) + theta(b).
+interpolation error density, the bound's gradient) is written in terms of
+xi, its first two derivatives, theta(x) = x xi'(x) - xi(x), and
+Delta(a, b) = xi(a) - a xi'(b) + theta(b).
 
 Convexity of xi on [-1, 1] is enforced structurally: each power is either
 1 or even.  Odd powers >= 3 are rejected.
@@ -56,6 +57,14 @@ class MixtureFunction:
         out = np.zeros_like(x)
         for p, beta in self.coefficients:
             out += beta * beta * p * x ** (p - 1)
+        return out if out.ndim else float(out)
+
+    def xi_second(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for p, beta in self.coefficients:
+            if p >= 2:
+                out += beta * beta * p * (p - 1) * x ** (p - 2)
         return out if out.ndim else float(out)
 
     @property
@@ -117,10 +126,10 @@ def delta_array(mix: MixtureFunction, a, b: float):
 def check_field_compatible(mix: MixtureFunction) -> None:
     """Reject mixtures whose xi'(0) > 0 in field-building contexts.
 
-    The per-level Gaussian column variances are xi'(q_{l+1}) - xi'(q_l)
-    starting from q_0 = 0; the covariance of the attached fields then
-    telescopes to xi'(q) only when xi'(0) = 0.  A linear (p = 1) term
-    breaks that and is therefore rejected wherever fields are built.
+    The field builders and the coupled quadrature are written and tested
+    for xi'(0) = 0 only.  A linear (p = 1) term, whose shared variance
+    xi'(0) > 0 the root column must carry, is therefore rejected wherever
+    fields are built; the bound's quadrature accepts it.
     """
     if mix.has_linear_part():
         raise ValueError(
@@ -197,9 +206,15 @@ class RSBParams:
         return RSBParams.from_interior(interior, self.q_interior)
 
     def variances(self, mix: MixtureFunction) -> np.ndarray:
-        """Column variances v_l = xi'(q_{l+1}) - xi'(q_l), l = 0..k."""
+        """Column variances v_0 = xi'(q_1) and v_l = xi'(q_{l+1}) - xi'(q_l).
+
+        The root column carries all of xi'(q_1), so the variance xi'(0) of
+        a linear (p = 1) term, which every leaf shares, is not dropped.
+        """
         qp = mix.xi_prime(np.asarray(self.q))
-        return np.diff(qp)
+        v = np.diff(qp)
+        v[0] = qp[1]
+        return v
 
     def requires_simulable(self) -> None:
         if self.m[-1] >= 1.0:

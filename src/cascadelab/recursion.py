@@ -12,7 +12,8 @@ on a tabulated function of x; combining phi(0) with the theta terms
 gives the k-step upper bound on the free energy; differentiating the
 same chain gives the change-of-density weights W_l whose products define
 the tilted two-replica averages, evaluated here by tensor-product
-Gauss-Hermite quadrature.
+Gauss-Hermite quadrature, and the bound's gradient in (m, q), on which
+the optimizer searches.
 
 All quadrature is deterministic; Monte Carlo never enters this module.
 """
@@ -20,6 +21,7 @@ All quadrature is deterministic; Monte Carlo never enters this module.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -147,22 +149,28 @@ def _grid_for(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
     return np.linspace(-half, half, n), v
 
 
-def _phi0_tensor(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
-    """phi(0) as the root X_0 of the level chain on a (k+1)-axis grid.
+def _phi0_chain(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
+    """The level chain on a (k+1)-axis grid: (s, field, [X_0, ..., X_k], phi(0)).
 
-    Axis l carries the level-l column sqrt(v_l) z_l, so X_k =
-    log 2cosh(h + sum_l sqrt(v_l) z_l); ``_chain`` contracts axes k..1
-    with m_k..m_1 and axis 0 takes a plain Gauss-Hermite mean.
+    Axis l carries the level-l column s_l z_l with s_l = sqrt(v_l), so
+    X_k = log 2cosh(field) with field = h + sum_l s_l z_l; ``_chain``
+    contracts axes k..1 with m_k..m_1 and axis 0 takes a plain
+    Gauss-Hermite mean of X_0.
     """
     ndim = rsb.k + 1
-    v = np.maximum(rsb.variances(mix), 0.0)
+    s = np.sqrt(np.maximum(rsb.variances(mix), 0.0))
     z, w = gauss_hermite(nodes)
     field = h
     for level in range(ndim):
-        field = field + _column(math.sqrt(float(v[level])), z, ndim, level)
+        field = field + _column(float(s[level]), z, ndim, level)
     level_axes = {level: [level] for level in range(1, ndim)}
-    x0 = _chain(log2cosh(field), rsb.m, level_axes, w, ndim)[0]
-    return float(_weighted_sum(x0, [0], w, ndim).squeeze())
+    xs = _chain(log2cosh(field), rsb.m, level_axes, w, ndim)
+    return s, field, xs, float(_weighted_sum(xs[0], [0], w, ndim).squeeze())
+
+
+def _phi0_tensor(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
+    """phi(0) as the root X_0 of the level chain on a (k+1)-axis grid."""
+    return _phi0_chain(rsb, mix, h, nodes)[3]
 
 
 def _phi0_once(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
@@ -236,6 +244,50 @@ def guerra_bound(
     return bound_from_phi0(rsb, mix, _phi0_value(rsb, mix, h, quad.nodes_per_level))
 
 
+def bound_and_gradient(
+    rsb: RSBParams, mix: MixtureFunction, h: float, quad: QuadratureSpec
+):
+    """The bound and its gradient in (m_1..m_{k-1}, q_1..q_k).
+
+    Both come from one tensor level chain, which ``guerra_bound`` also
+    takes within ``PHI0_TENSOR_BUDGET``, so the value is its to the bit.
+    With s_l = sqrt(v_l) and the chain weights W_l:
+
+    - dphi/ds_l = E[prod W tanh(field) z_l];
+    - dphi/dm_j = E[prod_{i<=j} W_i (X_j - X_{j-1})] / m_j (m_k = 1 is
+      pinned);
+    - dphi/dq_j = xi''(q_j) (dphi/dv_{j-1} - dphi/dv_j), with
+      dphi/dv_l = (dphi/ds_l) / (2 s_l), taken as 0 where s_l = 0;
+
+    the theta terms add (1/2)(m_j - m_{j-1}) q_j xi''(q_j) to dB/dq_j and
+    (1/2)(theta(q_j) - theta(q_{j+1})) to dB/dm_j.
+    """
+    k, nodes = rsb.k, quad.nodes_per_level
+    ndim = k + 1
+    if nodes**ndim > PHI0_TENSOR_BUDGET:
+        raise ValueError(
+            f"gradient grid {nodes}^{ndim} exceeds PHI0_TENSOR_BUDGET = {PHI0_TENSOR_BUDGET}"
+        )
+    z, w = gauss_hermite(nodes)
+    s, field, xs, phi = _phi0_chain(rsb, mix, h, nodes)
+    # tilts[j]: the Gauss-Hermite weights of the full grid times W_1..W_j
+    grid_w = functools.reduce(
+        np.multiply, [w.reshape(_axis_shape(ndim, axis, nodes)) for axis in range(ndim)]
+    )
+    tilts = list(itertools.accumulate(_chain_weights(xs, rsb.m), np.multiply, initial=grid_w))
+    slope = np.tanh(field) * tilts[-1]
+    d_s = np.array([np.sum(slope * _column(1.0, z, ndim, level)) for level in range(ndim)])
+    d_v = np.divide(d_s, 2.0 * s, out=np.zeros_like(d_s), where=s > 0.0)
+    m, q = np.asarray(rsb.m), np.asarray(rsb.q_interior)
+    d_q = mix.xi_second(q) * (d_v[:-1] - d_v[1:] + 0.5 * (m[1:] - m[:-1]) * q)
+    theta_q = q * mix.xi_prime(q) - mix.xi(q)
+    d_m = [
+        np.sum(tilts[j] * (xs[j] - xs[j - 1])) / m[j] + 0.5 * (theta_q[j - 1] - theta_q[j])
+        for j in range(1, k)
+    ]
+    return bound_from_phi0(rsb, mix, phi), np.concatenate([d_m, d_q])
+
+
 # ---------------------------------------------------------------------------
 # bound optimization
 # ---------------------------------------------------------------------------
@@ -248,6 +300,7 @@ class BoundOptimum:
     phi0: float
     converged: bool
     evaluations: int
+    stationarity: float
     restart_values: list = field(default_factory=list)
 
     @property
@@ -274,6 +327,28 @@ def _vector_to_params(y: np.ndarray, k: int) -> RSBParams:
     m = (0.0,) + tuple(m_int) + (1.0,)
     q = (0.0,) + tuple(q_int) + (1.0,)
     return RSBParams(k=k, m=m, q=q)
+
+
+def _vector_gradient(grad: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """dB/dy from dB/d(m_1..m_{k-1}, q_1..q_k) through ``_vector_to_params``.
+
+    sigmoid(y_i) lands at its sorted position in its block, so y_i takes
+    that entry's derivative times sigmoid'(y_i); the minimal gaps are
+    treated as inactive.
+    """
+    out = np.empty_like(y)
+    for block in (slice(0, k - 1), slice(k - 1, None)):
+        sig = _sigmoid(y[block])
+        order = np.argsort(sig)
+        out[block][order] = grad[block] * (sig * (1.0 - sig))[order]
+    return out
+
+
+def _search_nodes(nodes: int, k: int) -> int:
+    """The largest count up to ``nodes`` whose tensor grid fits the budget."""
+    while nodes ** (k + 1) > PHI0_TENSOR_BUDGET:
+        nodes -= 1
+    return nodes
 
 
 def _enforce_gaps(vals: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -322,45 +397,49 @@ def optimize_bound(
 ) -> BoundOptimum:
     """Minimize the bound over strictly ordered (m, q) at fixed k.
 
-    Derivative-free simplex search on a sorted-logistic reparameterization
-    (m_k pinned at 1), restarted from five deterministic initial points.
-    Results are reproducible for a fixed configuration.  phi(0) at the
-    optimum, and its convergence check when ``quad`` asks for one, are
-    evaluated once, after the search.
+    L-BFGS-B on the analytic gradient (``bound_and_gradient``) in a
+    sorted-logistic reparameterization (m_k pinned at 1), restarted from
+    five deterministic initial points.  The search runs on the tensor
+    grid at ``quad``'s node count, or at the largest count whose grid
+    fits ``PHI0_TENSOR_BUDGET`` when that one does not.  phi(0) and the
+    bound at the optimum, and the convergence check when ``quad`` asks
+    for one, come from ``phi0`` at ``quad``'s count, once, after the
+    search.  ``stationarity`` is max |dB| over (m_1..m_{k-1}, q_1..q_k)
+    at the optimum, on the search grid.  Results are reproducible for a
+    fixed configuration.
     """
     if not 1 <= k <= 3:
         raise ValueError(f"optimization supports k in 1..3, got k = {k}")
-    inner = QuadratureSpec(
-        nodes_per_level=quad.nodes_per_level, convergence_check=False
+    search = QuadratureSpec(
+        nodes_per_level=_search_nodes(quad.nodes_per_level, k), convergence_check=False
     )
     evals = 0
 
     def objective(y):
         nonlocal evals
         evals += 1
-        return guerra_bound(_vector_to_params(np.asarray(y), k), mix, h, inner)
+        value, grad = bound_and_gradient(_vector_to_params(y, k), mix, h, search)
+        return value, _vector_gradient(grad, y, k)
 
     best_y = None
     best_val = math.inf
     restart_values = []
     all_success = True
-    for m_start, q_start in _restart_points(mix, h, k, inner):
+    for m_start, q_start in _restart_points(mix, h, k, search):
         y0 = np.concatenate(
             [
                 _logit(np.asarray(m_start)) if m_start else np.empty(0),
                 _logit(np.asarray(q_start)),
             ]
         )
+        # gtol acts on dB/dy = dB/dq q (1 - q): at an optimum on the q -> 0
+        # edge (high temperature) 1e-11 is what takes max |dB| below 1e-6.
         res = minimize(
             objective,
             y0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-7,
-                "fatol": 1e-11,
-                "maxiter": 250 * (2 * k - 1),
-                "adaptive": True,
-            },
+            jac=True,
+            method="L-BFGS-B",
+            options={"ftol": 1e-13, "gtol": 1e-11},
         )
         all_success = all_success and bool(res.success)
         restart_values.append(float(res.fun))
@@ -369,13 +448,15 @@ def optimize_bound(
             best_y = np.array(res.x)
     params = _vector_to_params(best_y, k)
     final = phi0(params, mix, h, quad)
+    _, grad = bound_and_gradient(params, mix, h, search)
     return BoundOptimum(
         params=params,
-        value=best_val,
+        value=bound_from_phi0(params, mix, final.phi0),
         phi0=final.phi0,
         converged=final.converged and all_success,
         evaluations=evals,
         restart_values=restart_values,
+        stationarity=float(np.abs(grad).max()),
     )
 
 

@@ -258,6 +258,7 @@ def verify_bound(
             "mode": "optimized",
             "params_m": list(opt.params.m),
             "params_q": list(opt.params.q),
+            "stationarity": opt.stationarity,
         }
     fe = exact_free_energy(N, mixture, h, disorder_replicas, seed)
     extras["margin"] = bound - fe.mean

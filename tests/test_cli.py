@@ -272,6 +272,7 @@ def test_optimize_reports_restart_spread(capsys):
     values = result["restart_values"]
     assert len(values) == 5 and min(values) == result["bound"]
     assert result["restart_spread"] == max(values) - min(values)
+    assert result["stationarity"] <= 1e-6
 
 
 def test_bound_away_from_endpoint_names_the_flag(capsys):

@@ -146,6 +146,29 @@ def test_variances_sum_to_xi_prime_one():
         assert v[level] == pytest.approx(expect, abs=1e-12)
 
 
+def test_root_variance_carries_the_linear_term():
+    # xi'(0) = 0.49 is shared by every leaf, so the root column keeps it
+    mix = make_mixture([(1, 0.7), (2, 1.0)])
+    rsb = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
+    v = rsb.variances(mix)
+    assert v[0] == mix.xi_prime(0.3)
+    assert float(v.sum()) == pytest.approx(mix.xi_prime(1.0), abs=1e-12)
+
+
+def test_xi_second_matches_finite_difference():
+    for mix in (sk_mixture(0.7), make_mixture([(1, 0.6), (2, 1.0), (4, 0.5)])):
+        for x in (0.0, 0.3, 0.9):
+            eps = 1e-6
+            fd = (mix.xi_prime(x + eps) - mix.xi_prime(x - eps)) / (2 * eps)
+            assert mix.xi_second(x) == pytest.approx(fd, abs=1e-8)
+
+
+def test_xi_second_of_a_linear_term_is_zero():
+    mix = make_mixture([(1, 0.6)])
+    assert mix.xi_second(0.0) == 0.0
+    assert np.array_equal(mix.xi_second(np.array([0.0, 0.5])), [0.0, 0.0])
+
+
 def test_even_mixture_flag():
     assert make_mixture([(2, 1.0), (4, 0.5)]).is_even()
     assert not make_mixture([(1, 0.5), (2, 1.0)]).is_even()

@@ -1,6 +1,7 @@
 """Quadrature chain, the free-energy bound, and its optimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cascadelab.recursion import (
     _lse_contract,
     _phi0_once,
     _phi0_tensor,
+    bound_and_gradient,
     bound_from_phi0,
     gauss_hermite,
     guerra_bound,
@@ -25,7 +27,7 @@ from cascadelab.recursion import (
     phi0,
     smoothing_step,
 )
-from cascadelab.sk_model import spin_matrix
+from cascadelab.sk_model import spin_matrix, verify_bound
 from cascadelab.stats import Estimate, Exact, identity_check
 
 QUAD = QuadratureSpec(nodes_per_level=40)
@@ -416,3 +418,107 @@ def test_optimum_carries_its_phi0():
     assert opt.value == bound_from_phi0(opt.params, mix, opt.phi0)
     assert len(opt.restart_values) == 5
     assert opt.restart_spread == max(opt.restart_values) - min(opt.restart_values)
+
+
+GRADIENT_LADDERS = {
+    1: ((1.0,), (0.5,)),
+    2: ((0.4, 1.0), (0.3, 0.7)),
+    3: ((0.3, 0.6, 1.0), (0.2, 0.5, 0.8)),
+}
+
+
+def _central_differences(rsb, mix, h, quad, eps=1e-6):
+    """dB over (m_1..m_{k-1}, q_1..q_k) by central differences of guerra_bound."""
+    k = rsb.k
+    coords = list(rsb.m_interior[:-1]) + list(rsb.q_interior)
+    out = []
+    for i in range(len(coords)):
+        sides = []
+        for step in (eps, -eps):
+            moved = list(coords)
+            moved[i] += step
+            params = RSBParams.from_interior(moved[: k - 1] + [1.0], moved[k - 1 :])
+            sides.append(guerra_bound(params, mix, h, quad))
+        out.append((sides[0] - sides[1]) / (2.0 * eps))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "mix",
+    [sk_mixture(1.5), make_mixture([(2, 0.8), (4, 0.4)]), make_mixture([(1, 0.6), (2, 0.9)])],
+    ids=["sk", "p2p4", "p1p2"],
+)
+def test_bound_gradient_matches_central_differences(mix, h, k):
+    quad = QuadratureSpec(nodes_per_level=16, convergence_check=False)
+    rsb = RSBParams.from_interior(*GRADIENT_LADDERS[k])
+    value, grad = bound_and_gradient(rsb, mix, h, quad)
+    assert value == guerra_bound(rsb, mix, h, quad)
+    assert grad.shape == (2 * k - 1,)
+    assert np.abs(grad - _central_differences(rsb, mix, h, quad)).max() < 5e-9
+
+
+def test_bound_gradient_refuses_grids_over_the_budget():
+    rsb = RSBParams.from_interior(*GRADIENT_LADDERS[3])
+    with pytest.raises(ValueError, match="PHI0_TENSOR_BUDGET"):
+        bound_and_gradient(rsb, sk_mixture(1.5), 0.0, QuadratureSpec(nodes_per_level=30))
+
+
+def test_zero_mixture_optimizes_to_log2_at_once():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        opt = optimize_bound(
+            make_mixture([(2, 0.0)]), 0.0, 2, QuadratureSpec(nodes_per_level=12)
+        )
+    assert opt.converged
+    assert opt.evaluations <= 10
+    assert opt.value == pytest.approx(math.log(2.0), abs=1e-15)
+    assert opt.stationarity == 0.0
+
+
+def test_search_runs_at_the_largest_count_within_the_budget(monkeypatch):
+    monkeypatch.setattr(recursion, "PHI0_TENSOR_BUDGET", 12**3 - 1)
+    searched = []
+
+    def counted(rsb, mix, h, quad):
+        searched.append(quad.nodes_per_level)
+        return bound_and_gradient(rsb, mix, h, quad)
+
+    monkeypatch.setattr(recursion, "bound_and_gradient", counted)
+    calls = _count_routes(monkeypatch)
+    mix = sk_mixture(1.5)
+    quad = QuadratureSpec(nodes_per_level=12, convergence_check=False)
+    opt = optimize_bound(mix, 0.3, 2, quad)
+    assert set(searched) == {11}
+    assert calls["spline"] == [12]  # phi(0) at the optimum, at the requested count
+    assert opt.phi0 == phi0(opt.params, mix, 0.3, quad).phi0
+    assert opt.value == bound_from_phi0(opt.params, mix, opt.phi0)
+
+
+@pytest.mark.parametrize(
+    "beta, h, k",
+    [(0.6, 0.0, 2), (0.6, 0.3, 2), (1.5, 0.0, 2), (1.5, 0.3, 2), (1.5, 0.0, 1), (0.4, 0.0, 1)],
+)
+def test_acceptance_optima_are_stationary(beta, h, k):
+    # the optima of criteria 07 (k = 2, and k = 1 at beta = 1.5) and 08
+    opt = optimize_bound(sk_mixture(beta), h, k, QUAD24)
+    assert opt.converged
+    assert opt.stationarity <= 1e-6
+
+
+def test_linear_term_bound_sits_above_the_free_energy():
+    mix = make_mixture([(1, 1.0), (2, 0.5)])
+    record = verify_bound(8, mix, 0.0, 400, QUAD24, seed=1750, optimize_k=1)
+    assert record.passed
+    assert record.lhs <= record.rhs + 3.0 * record.lhs_se
+
+
+def test_pure_linear_bound_is_the_single_site_free_energy():
+    # xi(x) = beta^2 x: independent sites in a Gaussian field of variance beta^2
+    beta, h = 0.7, 0.3
+    z, w = gauss_hermite(80)
+    exact = float(np.log(2.0 * np.cosh(h + beta * z)) @ w)
+    opt = optimize_bound(make_mixture([(1, beta)]), h, 1, QUAD24)
+    assert opt.converged
+    assert opt.value == pytest.approx(exact, abs=1e-6)

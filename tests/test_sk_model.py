@@ -192,6 +192,7 @@ def test_verify_bound_optimized_mode():
     assert rec.extras["margin"] > 0.0
     assert len(rec.extras["params_m"]) == 2
     assert len(rec.extras["params_q"]) == 3
+    assert rec.extras["stationarity"] <= 1e-6
     assert rec.rhs == pytest.approx(math.log(2.0) + 0.25 / 4.0, abs=1e-3)
 
 

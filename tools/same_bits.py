@@ -2,20 +2,25 @@
 
     python3 tools/same_bits.py REV
 
-REV is checked out with ``git worktree add`` into a temporary directory.
-A fixed list of cascadelab commands then runs there and in this working
-tree, each as ``python -m cascadelab.cli`` with ``PYTHONPATH`` set to the
+REV is exported with ``git archive`` into a temporary directory. A fixed
+list of cascadelab commands then runs there and in this working tree,
+each as ``python -m cascadelab.cli`` with ``PYTHONPATH`` set to the
 side's ``src/``. A report's ``generated_at`` line is dropped, and the
 rest of standard output is hashed with SHA-256; a usage error leaves
 standard output empty, so it compares by exit status. The script prints each
-command's exit status and hash on both sides, and exits with status 1
-if any command differs. The worktree is removed at the end.
+command's exit status and hash on both sides. Where two reports differ,
+it also prints each changed field's path, both values and |delta|, so a
+change that moves numbers on purpose shows how far. It exits with
+status 1 if any command differs. The temporary directory is removed at
+the end.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +47,12 @@ COMMANDS = [
                     "--q", "[0.3, 0.7]"]),
     ("optimize --k 2", "1", ["optimize", "--mixture", "[[2, 0.42]]", "--k", "2",
                              "--nodes", "12"]),
+    ("optimize p = 1", "1", ["optimize", "--mixture", "[[1, 0.7]]", "--k", "1", "--h", "0.3",
+                             "--nodes", "16"]),
+    ("optimize zero mixture", "1", ["optimize", "--mixture", "[[2, 0.0]]", "--k", "2",
+                                    "--nodes", "12"]),
+    ("optimize --k 3", "1", ["optimize", "--mixture", "[[2, 1.06]]", "--k", "3",
+                             "--nodes", "12"]),
     ("sk-exact", "1", ["sk-exact", "--N", "8", "--mixture", "[[2, 0.85]]", "--k", "1",
                        "--replicas", "200"]),
 ] + [
@@ -61,31 +72,92 @@ COMMANDS = [
 ]
 
 
-def report_digest(tree: Path, workers: str, args: list) -> tuple:
-    """(exit status, SHA-256 of stdout without its generated_at line)."""
+def run_report(tree: Path, workers: str, args: list) -> tuple:
+    """(exit status, standard output) of one command on one side."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), CASCADELAB_WORKERS=workers)
     proc = subprocess.run(
         [sys.executable, "-m", "cascadelab.cli", *args],
         cwd=tree, env=env, capture_output=True, text=True,
     )
+    return proc.returncode, proc.stdout
+
+
+def digest(stdout: str) -> str:
+    """SHA-256 of a report without its generated_at line."""
     kept = [
-        line for line in proc.stdout.splitlines(keepends=True)
+        line for line in stdout.splitlines(keepends=True)
         if not line.lstrip().startswith('"generated_at":')
     ]
-    return proc.returncode, hashlib.sha256("".join(kept).encode()).hexdigest()
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+def _same(a, b) -> bool:
+    """Equal JSON values of one type; NaN equals NaN."""
+    if type(a) is not type(b):
+        return False
+    return a == b or isinstance(a, float) and math.isnan(a) and math.isnan(b)
+
+
+def _label(a, b, index: int):
+    """A list item's name when both sides are records of one name, else its index."""
+    name = a.get("name") if isinstance(a, dict) else None
+    return name if name is not None and isinstance(b, dict) and b.get("name") == name else index
+
+
+def changed_fields(theirs, ours, path: str = "") -> list:
+    """(path, theirs, ours) for each leaf of two JSON values that differs.
+
+    A list item that is a record is named by its ``name``; a key present
+    on one side only shows ``None`` on the other.
+    """
+    if isinstance(theirs, dict) and isinstance(ours, dict):
+        out = []
+        for key in sorted(theirs.keys() | ours.keys()):
+            sub = f"{path}.{key}" if path else key
+            out += changed_fields(theirs.get(key), ours.get(key), sub)
+        return out
+    if isinstance(theirs, list) and isinstance(ours, list) and len(theirs) == len(ours):
+        out = []
+        for i, (a, b) in enumerate(zip(theirs, ours)):
+            out += changed_fields(a, b, f"{path}[{_label(a, b, i)}]")
+        return out
+    return [] if _same(theirs, ours) else [(path, theirs, ours)]
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def print_changes(theirs: str, ours: str) -> None:
+    """Print the fields in which two JSON reports differ, with |delta|."""
+    try:
+        a, b = json.loads(theirs), json.loads(ours)
+    except json.JSONDecodeError:
+        return
+    for report in (a, b):
+        if isinstance(report, dict):
+            report.pop("generated_at", None)
+    for path, x, y in changed_fields(a, b):
+        delta = f"{abs(y - x):.3g}" if _number(x) and _number(y) else "-"
+        print(f"    {path}: {x!r} -> {y!r}  |delta| {delta}")
 
 
 def compare(rev: str, rev_tree: Path) -> int:
     """Run every command on both sides; the number that differ."""
     differ = 0
     for name, workers, args in COMMANDS:
-        theirs = report_digest(rev_tree, workers, args)
-        ours = report_digest(ROOT, workers, args)
-        same = theirs == ours
+        theirs = run_report(rev_tree, workers, args)
+        ours = run_report(ROOT, workers, args)
+        their_key = (theirs[0], digest(theirs[1]))
+        our_key = (ours[0], digest(ours[1]))
+        same = their_key == our_key
         differ += not same
         print(f"{name}: {'same' if same else 'DIFFERENT'}")
-        print(f"  {rev}: exit {theirs[0]} sha256 {theirs[1]}")
-        print(f"  working tree: exit {ours[0]} sha256 {ours[1]}", flush=True)
+        print(f"  {rev}: exit {their_key[0]} sha256 {their_key[1]}")
+        print(f"  working tree: exit {our_key[0]} sha256 {our_key[1]}")
+        if not same:
+            print_changes(theirs[1], ours[1])
+        sys.stdout.flush()
     return differ
 
 
@@ -94,18 +166,12 @@ def main(argv=None) -> int:
     parser.add_argument("rev", metavar="REV", help="the git revision to compare against")
     rev = parser.parse_args(argv).rev
     with tempfile.TemporaryDirectory(prefix="same-bits-") as tmp:
-        rev_tree = Path(tmp) / "tree"
-        subprocess.run(
-            ["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(rev_tree), rev],
-            check=True,
+        rev_tree = Path(tmp)
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
         )
-        try:
-            differ = compare(rev, rev_tree)
-        finally:
-            subprocess.run(
-                ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(rev_tree)],
-                check=True,
-            )
+        subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive.stdout, check=True)
+        differ = compare(rev, rev_tree)
     print(f"{differ} of {len(COMMANDS)} commands differ")
     return 1 if differ else 0
 
