@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -389,6 +390,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+@functools.cache
 def _package_version() -> str:
     try:
         return metadata.version("cascadelab")
@@ -786,6 +788,7 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cascadelab",

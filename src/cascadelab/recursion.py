@@ -488,11 +488,16 @@ def _weighted_sum(arr, axes, weights, ndim):
 def _tilted_mean(integrand, weights, w, ndim: int) -> float:
     """E[integrand * prod weights] over every grid axis.
 
-    The weight arrays multiply in the order given, left to right.
+    The weight arrays, then axis 0's Gauss-Hermite weight, multiply in
+    the order given into one array on the full grid.
     """
-    for wl in weights:
-        integrand = integrand * wl
-    return float(_weighted_sum(integrand, range(ndim), w, ndim).squeeze())
+    axis0 = w.reshape(_axis_shape(ndim, 0, w.size))
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (integrand, axis0, *weights)))
+    out = np.multiply(integrand, weights[0], out=np.empty(shape))
+    for wl in (*weights[1:], axis0):
+        out *= wl
+    out = out.sum(axis=0, keepdims=True)
+    return float(_weighted_sum(out, range(1, ndim), w, ndim).squeeze())
 
 
 def _pair_weights(ws_a, ws_b, r: int) -> list:
@@ -513,7 +518,8 @@ def _lse_contract(arr, m, axes, weights, ndim):
     """(1/m) log sum w exp(m arr) over the given axes, keeping dims."""
     a = m * arr
     amax = a.max(axis=tuple(axes), keepdims=True)
-    s = _weighted_sum(np.exp(a - amax), axes, weights, ndim)
+    a -= amax
+    s = _weighted_sum(np.exp(a, out=a), axes, weights, ndim)
     return (amax + np.log(s)) / m
 
 
@@ -536,10 +542,10 @@ def _chain(x, m, level_axes, w, ndim):
 
 def _chain_weights(xs, m):
     """W_l = exp(m_l (X_l - X_{l-1})) for l = 1..k, entry l-1."""
-    return [
-        np.exp(m[level] * (xs[level] - xs[level - 1]))
-        for level in range(1, len(xs))
-    ]
+    out = [xs[level] - xs[level - 1] for level in range(1, len(xs))]
+    for level, d in enumerate(out, start=1):
+        np.exp(np.multiply(d, m[level], out=d), out=d)
+    return out
 
 
 def _grid_nodes(quad: QuadratureSpec, ndim: int):
@@ -555,9 +561,12 @@ def _path_grid(x_fn: PathFunctional, tau, z, ndim: int, mark_axes):
 
     The level-l mark lies on axis ``mark_axes[l-1]`` with standard
     deviation tau[l-1]; the level axes are the ones ``_chain`` contracts.
+    X_k spans the path's own mark axes and has length 1 on every other
+    axis, so the chain and its weights never leave the path's axes.
     """
     marks = [_column(tau[ell], z, ndim, axis) for ell, axis in enumerate(mark_axes)]
-    x = np.broadcast_to(np.asarray(x_fn(marks), dtype=float), (z.size,) * ndim).copy()
+    shape = [z.size if axis in mark_axes else 1 for axis in range(ndim)]
+    x = np.broadcast_to(np.asarray(x_fn(marks), dtype=float), shape)
     level_axes = {ell + 1: [axis] for ell, axis in enumerate(mark_axes)}
     return marks, x, level_axes
 
@@ -721,9 +730,6 @@ def mu_r_quadrature(
                 )
         return e
 
-    # Arrays stay in broadcast shape: each copy's exponent has singleton
-    # axes along the other copy's private columns, so per-sigma storage is
-    # far below the full tensor size.
     exps = {copy: [exponent(s_idx, copy) for s_idx in range(len(sigmas))] for copy in (0, 1)}
     xk = {copy: functools.reduce(np.logaddexp, exps[copy]) for copy in (0, 1)}
     copy_axes = {
@@ -738,17 +744,6 @@ def mu_r_quadrature(
         for copy in (0, 1)
     }
 
-    # Gibbs average of f over the product measure of the two copies
-    fbar = 0.0
-    for i1, s1 in enumerate(sigmas):
-        p1 = np.exp(exps[0][i1] - xk[0])
-        for i2, s2 in enumerate(sigmas):
-            fv = replica_pair_value(f, s1, s2, mix, float(rsb.q[r]))
-            if fv == 0.0:
-                continue
-            fbar = fbar + fv * p1 * np.exp(exps[1][i2] - xk[1])
-    fbar = np.asarray(fbar, dtype=float)
-
     # The V-form: one chain of X^a_k + X^b_k with exponents halved below r
     halved = rsb.halved_below(r).m
     joint = {
@@ -756,11 +751,27 @@ def mu_r_quadrature(
         for level in range(1, k + 1)
     }
     vs = _chain_weights(_chain(xk[0] + xk[1], halved, joint, w, ndim), halved)
+    # taken before fbar exists, so at most three full-grid arrays are alive
+    chain_max_diff = max(
+        float(np.abs(vl - (wa * wb if level >= r else wa)).max())
+        for level, (vl, wa, wb) in enumerate(zip(vs, ws[0], ws[1]), start=1)
+    )
+
+    # Gibbs average of f over the product measure of the two copies
+    fbar = _pair_mean(
+        [[replica_pair_value(f, s1, s2, mix, float(rsb.q[r])) for s2 in sigmas] for s1 in sigmas],
+        [[np.exp(e - xk[copy]) for e in exps[copy]] for copy in (0, 1)],
+    )
     return MuQuadResult(
         value=_tilted_mean(fbar, _pair_weights(ws[0], ws[1], r), w, ndim),
         value_v_form=_tilted_mean(fbar, vs, w, ndim),
-        chain_max_diff=max(
-            float(np.abs(vl - (wa * wb if level >= r else wa)).max())
-            for level, (vl, wa, wb) in enumerate(zip(vs, ws[0], ws[1]), start=1)
-        ),
+        chain_max_diff=chain_max_diff,
     )
+
+
+def _pair_mean(values, probs) -> np.ndarray:
+    """Sum of values[s1][s2] p1(s1) p2(s2), probs = (p1, p2), over s2 first."""
+    fbar = np.zeros(np.broadcast_shapes(probs[0][0].shape, probs[1][0].shape))
+    for row, p1 in zip(values, probs[0]):
+        fbar += p1 * sum(fv * p2 for fv, p2 in zip(row, probs[1]) if fv != 0.0)
+    return fbar

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cascadelab import recursion
+from cascadelab.functionals import REPLICA_FORMS, PairFunctional, PathFunctional
 from cascadelab.interpolation import build_coupled_system
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import (
@@ -291,6 +292,98 @@ def test_chain_matches_inline_loops():
         assert len(ws) == 2
         for got, want in zip(ws, want_ws):
             assert np.array_equal(got, want)
+
+
+# Each path's chain lives on its own mark axes.  The oracle is the path
+# grid that spread X_k over the full tensor grid before every contraction.
+
+
+def _full_path_grid(x_fn, tau, z, ndim, mark_axes):
+    marks = [recursion._column(tau[ell], z, ndim, axis) for ell, axis in enumerate(mark_axes)]
+    x = np.broadcast_to(np.asarray(x_fn(marks), dtype=float), (z.size,) * ndim).copy()
+    level_axes = {ell + 1: [axis] for ell, axis in enumerate(mark_axes)}
+    return marks, x, level_axes
+
+
+PATH_X = {
+    "logcosh_sum": PathFunctional("logcosh_sum", scale=1.2),
+    "linear": PathFunctional("linear"),
+    "zero": PathFunctional("constant", value=0.0),
+}
+PATH_BASES = (PathFunctional("constant", value=1.5), PathFunctional("linear"))
+
+
+def _mark_chain_values(x_fn, k, nodes):
+    rsb = RSBParams.from_interior((0.4, 0.8)[:k], (0.3, 0.6)[:k])
+    tau = (0.7, 0.5)[:k]
+    quad = QuadratureSpec(nodes_per_level=nodes, convergence_check=False)
+    out = [recursion.mark_chain_root(x_fn, rsb, tau, quad)]
+    for base in PATH_BASES:
+        out.append(recursion.mark_chain_tilted(x_fn, base, rsb, tau, quad))
+        for form in ("pair_product", "pair_sum"):
+            for r in range(1, k + 1):
+                y_pair = PairFunctional(form, base)
+                out.append(recursion.mark_chain_restricted(x_fn, y_pair, rsb, tau, r, quad))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("x_name", sorted(PATH_X))
+def test_mark_chains_match_the_full_grid(k, x_name, monkeypatch):
+    for nodes in (8, 12):
+        got = _mark_chain_values(PATH_X[x_name], k, nodes)
+        with monkeypatch.context() as patch:
+            patch.setattr(recursion, "_path_grid", _full_path_grid)
+            want = _mark_chain_values(PATH_X[x_name], k, nodes)
+        for g, v in zip(got, want):
+            assert abs(g - v) <= 1e-14 * max(1.0, abs(v)), (nodes, g, v)
+
+
+@pytest.mark.parametrize(
+    "r, shapes", [(1, [(10, 10, 1, 1), (1, 1, 10, 10)]), (2, [(10, 10, 1), (10, 1, 10)])]
+)
+def test_restricted_paths_keep_to_their_own_axes(r, shapes, monkeypatch):
+    seen = []
+    path_grid = recursion._path_grid
+
+    def recording(*args):
+        out = path_grid(*args)
+        seen.append(out[1].shape)
+        return out
+
+    monkeypatch.setattr(recursion, "_path_grid", recording)
+    rsb = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
+    quad = QuadratureSpec(nodes_per_level=10, convergence_check=False)
+    y_pair = PairFunctional("pair_product", PathFunctional("linear"))
+    recursion.mark_chain_restricted(PATH_X["logcosh_sum"], y_pair, rsb, (0.7, 0.5), r, quad)
+    assert seen == shapes
+
+
+@pytest.mark.parametrize("f", REPLICA_FORMS)
+@pytest.mark.parametrize("N, k, r", [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 1, 1)])
+def test_pair_mean_matches_the_double_loop(f, N, k, r, monkeypatch):
+    # The Gibbs average of f over both copies, summed over copy 2 first,
+    # against the double loop that adds f p1 p2 pair by pair.
+    seen = []
+    pair_mean = recursion._pair_mean
+
+    def recording(values, probs):
+        out = pair_mean(values, probs)
+        seen.append((values, probs, out))
+        return out
+
+    monkeypatch.setattr(recursion, "_pair_mean", recording)
+    rsb = RSBParams.from_interior((0.4, 0.8)[:k], (0.3, 0.6)[:k])
+    quad = QuadratureSpec(nodes_per_level=8, convergence_check=False)
+    mu_r_quadrature(N, k, r, sk_mixture(0.6), rsb, 0.3, 0.5, f, quad)
+    (values, (p1, p2), fbar), = seen
+    want = 0.0
+    for row, a in zip(values, p1):
+        for fv, b in zip(row, p2):
+            if fv != 0.0:
+                want = want + fv * a * b
+    assert fbar.shape == np.shape(want)
+    assert np.abs(fbar - want).max() <= 1e-15
 
 
 # phi(0) by its two routes: the level chain on the full (k+1)-axis tensor

@@ -37,6 +37,8 @@ _INTERP = [
 COMMANDS = [
     ("verify-all smoke, 1 worker", "1", ["verify-all", "--preset", "smoke"]),
     ("verify-all smoke, 2 workers", "2", ["verify-all", "--preset", "smoke"]),
+    # desk's 40-node restricted chain is the largest tensor a report reads
+    ("verify-all desk, 2 workers", "2", ["verify-all", "--preset", "desk"]),
     ("pd two_point", "1", ["pd", "--m", "[0.6]", "--mark-family", "two_point",
                            "--statistic", "mean_mark", "--replicas", "100"]),
     ("pd lognormal", "1", ["pd", "--m", "[0.4]", "--mark-family", "lognormal",
