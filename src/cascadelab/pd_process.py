@@ -71,19 +71,25 @@ class MarkSpec:
             raise ValueError("two_point X values must be positive")
 
     def sample(self, rng: np.random.Generator, size: int, out=None):
-        """Draw ``size`` pairs (X, Y), into the float arrays ``out`` if given."""
+        """Draw ``size`` pairs (X, Y), into the float arrays ``out`` if given.
+
+        With ``out = (x, None)`` only X is drawn, and Y is returned as
+        None.  X comes first from the stream, so it takes the same values.
+        """
         x, y = (np.empty(size), np.empty(size)) if out is None else out
         if self.family == "constant":
             x.fill(self.cx)
-            y.fill(self.cy)
+            if y is not None:
+                y.fill(self.cy)
         elif self.family == "lognormal":
             rng.standard_normal(out=x)
-            rng.standard_normal(out=y)
-            # Y from G and G' before X overwrites G.
-            y *= np.sqrt(1 - self.rho**2)
-            y += self.rho * x
-            y *= self.sigma_y
-            np.exp(y, out=y)
+            if y is not None:
+                rng.standard_normal(out=y)
+                # Y from G and G' before X overwrites G.
+                y *= np.sqrt(1 - self.rho**2)
+                y += self.rho * x
+                y *= self.sigma_y
+                np.exp(y, out=y)
             x *= self.sigma_x
             np.exp(x, out=x)
             x += self.shift
@@ -93,7 +99,8 @@ class MarkSpec:
             # The indices are 0 and 1, so "clip" changes no value; it spares
             # the buffered copy that take makes into ``out`` in "raise" mode.
             np.take(np.array((self.xs[1], self.xs[0]), dtype=float), pick, out=x, mode="clip")
-            np.take(np.array((self.ys[1], self.ys[0]), dtype=float), pick, out=y, mode="clip")
+            if y is not None:
+                np.take(np.array((self.ys[1], self.ys[0]), dtype=float), pick, out=y, mode="clip")
         return x, y
 
     def min_x(self) -> float:
@@ -230,9 +237,11 @@ def _tilted_marks(spec: MarkSpec, m: float, rng: np.random.Generator, size: int)
 def _invariance_chunk(args, master, start, stop):
     m, n_max, statistic, spec = args
     out = np.empty((stop - start, 2))
-    u, x, y = np.empty(n_max), np.empty(n_max), np.empty(n_max)
-    # Only the mean-mark statistic reads the tilted marks.
-    tilted_size = n_max if statistic == "mean_mark" else 0
+    # Only the mean-mark statistic reads Y and the tilted marks.
+    mean_mark = statistic == "mean_mark"
+    u, x = np.empty(n_max), np.empty(n_max)
+    y = np.empty(n_max) if mean_mark else None
+    tilted_size = n_max if mean_mark else 0
     for i, rep in enumerate(range(start, stop)):
         rng_u = derive_rng(master, MODULE_PD, rep, 0)
         rng_m = derive_rng(master, MODULE_PD, rep, 1)

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
 
 from .functionals import PairFunctional, PathFunctional, replica_pair_value
 from .mixture import (
@@ -90,6 +88,9 @@ class TabulatedFunction:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
+        # Imported here, so that only the spline route loads scipy.interpolate.
+        from scipy.interpolate import CubicSpline
+
         self.x = x
         self.y = y
         self._spline = CubicSpline(x, y)
@@ -420,6 +421,9 @@ def optimize_bound(
         evals += 1
         value, grad = bound_and_gradient(_vector_to_params(y, k), mix, h, search)
         return value, _vector_gradient(grad, y, k)
+
+    # Imported here, so that only commands that optimize load scipy.optimize.
+    from scipy.optimize import minimize
 
     best_y = None
     best_val = math.inf

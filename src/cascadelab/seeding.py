@@ -20,7 +20,6 @@ stream per level.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -105,6 +104,9 @@ def run_replicas(chunk_fn, args: tuple, master: int, n_replicas: int) -> np.ndar
     spans = list(_chunks(n_replicas))
     workers = worker_count()
     if workers > 1 and len(spans) > 1:
+        # Imported here, so that serial runs never load the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = None
         try:
             pool = ProcessPoolExecutor(max_workers=workers)

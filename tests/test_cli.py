@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -577,3 +579,40 @@ def test_out_of_range_values_exit_two_before_the_command(
 def test_whole_float_scan_count_is_accepted():
     assert resolve_config("bound", {}, {"scan_q1": [0.1, 0.5, 40.0]}).scan_q1 == [0.1, 0.5, 40]
     assert resolve_config("bound", {}, {"scan_q1": [0.1, 0.5, 40]}).scan_q1 == [0.1, 0.5, 40]
+
+
+# Run in a fresh interpreter: the test modules import scipy themselves.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from cascadelab import cli
+
+def loaded(prefix):
+    return sorted(name for name in sys.modules if name == prefix or name.startswith(prefix + "."))
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+
+for argv in (
+    ["pd", "--m", "[0.6]", "--n-max", "100", "--replicas", "100"],
+    ["cascade", "--m", "[0.5]", "--q", "[0.5]", "--b", "10", "--replicas", "20"],
+    ["bound", "--m", "[1.0]", "--q", "[0.5]", "--nodes", "16"],
+    ["interpolate", "--check", "phi", "--N", "2", "--b", "10", "--replicas", "10"],
+    ["sk-exact", "--N", "4", "--replicas", "10"],
+):
+    run(argv)
+assert not loaded("scipy"), loaded("scipy")[:5]
+assert not loaded("concurrent.futures.process")
+run(["optimize", "--k", "1", "--nodes", "12"])
+assert loaded("scipy.optimize")
+assert not loaded("scipy.interpolate"), loaded("scipy.interpolate")
+"""
+
+
+def test_scipy_loads_only_where_it_is_called():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr

@@ -328,6 +328,11 @@ def test_mark_sample_in_place_matches_formula(spec):
             assert arr.dtype == np.float64
         for j in (0, 1):
             assert np.array_equal(got[j], want[j]) and np.array_equal(into[j], want[j])
+        # X drawn alone takes the values X has in the full draw
+        x_buf = np.full(size, np.nan)
+        x_alone = spec.sample(derive_rng(59, size), size, out=(x_buf, None))
+        assert x_alone[0] is x_buf and x_alone[1] is None
+        assert np.array_equal(x_buf, want[0])
 
 
 @pytest.mark.parametrize("spec", MARK_SPECS, ids=lambda s: s.family)
