@@ -29,11 +29,11 @@ import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .cascade import (
     log_partition_identity,
     overlap_mass,
@@ -390,14 +390,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-@functools.cache
-def _package_version() -> str:
-    try:
-        return metadata.version("cascadelab")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def build_report(cfg: RunConfig, records: list, result: dict | None) -> dict:
     values = cfg.values_dict()
     return {
@@ -407,7 +399,7 @@ def build_report(cfg: RunConfig, records: list, result: dict | None) -> dict:
         "config_hash": config_hash(values),
         "seed": cfg.seed,
         "stream_version": STREAM_VERSION,
-        "version": _package_version(),
+        "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "result": result,
         "records": [rec.to_json_dict() for rec in records],

@@ -84,10 +84,15 @@ class PairFunctional:
         if self.base.form not in ("constant", "linear"):
             raise ValueError("pair functionals take constant or linear bases")
 
-    def combine(self, ya, yb):
+    def mean_over_pair(self, mean_y, mean_1):
+        """E Y over two paths drawn independently given their shared part.
+
+        ``mean_y`` and ``mean_1`` are one path's conditional means of
+        (weight * y) and of the weight alone; the other path's are the same.
+        """
         if self.form == "pair_product":
-            return ya * yb
-        return ya + yb
+            return mean_y * mean_y
+        return 2.0 * mean_y * mean_1
 
 
 def replica_pair_value(

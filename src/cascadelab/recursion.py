@@ -489,33 +489,14 @@ def _weighted_sum(arr, axes, weights, ndim):
     return out
 
 
-def _tilted_mean(integrand, weights, w, ndim: int) -> float:
-    """E[integrand * prod weights] over every grid axis.
+def _tilted_mean(integrand, weights, w, ndim: int, axes) -> float:
+    """E[integrand * prod weights] over the grid axes ``axes``.
 
-    The weight arrays, then axis 0's Gauss-Hermite weight, multiply in
-    the order given into one array on the full grid.
+    The weight arrays multiply in the order given, then the axes are
+    contracted in order; every array has length 1 on the other axes.
     """
-    axis0 = w.reshape(_axis_shape(ndim, 0, w.size))
-    shape = np.broadcast_shapes(*(np.shape(a) for a in (integrand, axis0, *weights)))
-    out = np.multiply(integrand, weights[0], out=np.empty(shape))
-    for wl in (*weights[1:], axis0):
-        out *= wl
-    out = out.sum(axis=0, keepdims=True)
-    return float(_weighted_sum(out, range(1, ndim), w, ndim).squeeze())
-
-
-def _pair_weights(ws_a, ws_b, r: int) -> list:
-    """The weights of two paths split at level r, in level order.
-
-    W^a_l at every level, and W^b_l from level r on: below r the paths
-    share their nodes, so the shared weight counts once.
-    """
-    out = []
-    for level, (wa, wb) in enumerate(zip(ws_a, ws_b), start=1):
-        out.append(wa)
-        if level >= r:
-            out.append(wb)
-    return out
+    out = functools.reduce(np.multiply, weights, integrand)
+    return float(_weighted_sum(out, axes, w, ndim).squeeze())
 
 
 def _lse_contract(arr, m, axes, weights, ndim):
@@ -603,7 +584,7 @@ def mark_chain_tilted(
     z, w = _grid_nodes(quad, k)
     marks, x, level_axes = _path_grid(x_fn, tau, z, k, range(k))
     ws = _chain_weights(_chain(x, rsb.m, level_axes, w, k), rsb.m)
-    return _tilted_mean(np.asarray(y_fn(marks), dtype=float), ws, w, k)
+    return _tilted_mean(np.asarray(y_fn(marks), dtype=float), ws, w, k, range(k))
 
 
 def mark_chain_restricted(
@@ -616,32 +597,24 @@ def mark_chain_restricted(
 ) -> float:
     """The fixed-pair reference M_r for two paths splitting at level r.
 
-    Levels below r share one mark axis; levels r..k carry independent
-    axes per path.  Returns E prod_{l<r} W_l prod_{l>=r} W_l^a W_l^b Y.
+    Returns E prod_{l<r} W_l prod_{l>=r} W_l^a W_l^b Y.  Both paths carry
+    the same X and tau, so one path grid of n^k points serves both: its
+    private levels r..k are contracted once against the weight alone
+    (A_1) and once against the weight times y (A_y), and the two paths
+    meet only on the shared levels 1..r-1, as E prod_{l<r} W_l A_y^2 for
+    ``pair_product`` and E prod_{l<r} W_l 2 A_y A_1 for ``pair_sum``.
     """
     k = rsb.k
     if not 1 <= r <= k:
         raise ValueError(f"r = {r} outside 1..{k}")
-    ndim = (r - 1) + 2 * (k - r + 1)
-    z, w = _grid_nodes(quad, ndim)
-
-    def mark_axes(copy):
-        # levels 1..r-1 shared, then copy-a block, then copy-b block
-        base = (r - 1) + (0 if copy == 0 else k - r + 1)
-        return [
-            level - 1 if level < r else base + (level - r)
-            for level in range(1, k + 1)
-        ]
-
-    marks_a, xa, axes_a = _path_grid(x_fn, tau, z, ndim, mark_axes(0))
-    marks_b, xb, axes_b = _path_grid(x_fn, tau, z, ndim, mark_axes(1))
-    ws_a = _chain_weights(_chain(xa, rsb.m, axes_a, w, ndim), rsb.m)
-    ws_b = _chain_weights(_chain(xb, rsb.m, axes_b, w, ndim), rsb.m)
-    integrand = y_pair.combine(
-        np.asarray(y_pair.base(marks_a), float),
-        np.asarray(y_pair.base(marks_b), float),
-    )
-    return _tilted_mean(integrand, _pair_weights(ws_a, ws_b, r), w, ndim)
+    z, w = _grid_nodes(quad, k)
+    marks, x, level_axes = _path_grid(x_fn, tau, z, k, range(k))
+    ws = _chain_weights(_chain(x, rsb.m, level_axes, w, k), rsb.m)
+    private = range(r - 1, k)
+    tilt = functools.reduce(np.multiply, ws[r - 1 :])
+    a_1 = _weighted_sum(tilt, private, w, k)
+    a_y = _weighted_sum(tilt * np.asarray(y_pair.base(marks), float), private, w, k)
+    return _tilted_mean(y_pair.mean_over_pair(a_y, a_1), ws[: r - 1], w, k, range(r - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +649,12 @@ def mu_r_quadrature(
     exactly over its monomial-basis Gaussian coefficients.  Computes the
     product-of-W form, the V-chain form with halved exponents below r,
     and their pointwise agreement.
+
+    Each copy's arrays live on that copy's axes.  The product form
+    contracts each copy's private columns first and meets the other copy
+    on the shared axes alone; the V-form chain is joint, as the second
+    route must be, and visits the full grid one root node at a time, so
+    the tensor budget still guards the full grid.
     """
     if not 1 <= N <= 2:
         raise ValueError("the coupled quadrature supports N in {1, 2}")
@@ -736,6 +715,7 @@ def mu_r_quadrature(
 
     exps = {copy: [exponent(s_idx, copy) for s_idx in range(len(sigmas))] for copy in (0, 1)}
     xk = {copy: functools.reduce(np.logaddexp, exps[copy]) for copy in (0, 1)}
+    probs = {copy: [np.exp(e - xk[copy]) for e in exps[copy]] for copy in (0, 1)}
     copy_axes = {
         copy: {
             level: [z_axes[key(level, site, copy)] for site in range(N)] if level in cols else []
@@ -747,34 +727,66 @@ def mu_r_quadrature(
         copy: _chain_weights(_chain(xk[copy], rsb.m, copy_axes[copy], w, ndim), rsb.m)
         for copy in (0, 1)
     }
+    values = [
+        [replica_pair_value(f, s1, s2, mix, float(rsb.q[r])) for s2 in sigmas] for s1 in sigmas
+    ]
 
-    # The V-form: one chain of X^a_k + X^b_k with exponents halved below r
+    # The product form: each copy's Gibbs weights, tilted by its own W_r..W_k,
+    # are contracted over its private columns; the copies meet only on the
+    # shared axes (the columns below r and the monomials), where W_1..W_{r-1}
+    # are one function of both.
+    def private_means(copy):
+        tilt = functools.reduce(np.multiply, ws[copy][r - 1 :])
+        private = [axis for (_, _, owner), axis in z_axes.items() if owner == copy]
+        return [_weighted_sum(tilt * p, private, w, ndim) for p in probs[copy]]
+
+    shared = [axis for (_, _, owner), axis in z_axes.items() if owner is None]
+    shared += range(len(z_axes), ndim)
+    value = _tilted_mean(
+        _pair_mean(values, [private_means(0), private_means(1)]), ws[0][: r - 1], w, ndim, shared
+    )
+
+    # The V-form: one chain of X^a_k + X^b_k with exponents halved below r,
+    # on the joint grid.  No level contracts the root column, so the grid is
+    # visited one node of axis 0 (its first site) at a time; without a root
+    # column in the fields, in one pass.
     halved = rsb.halved_below(r).m
     joint = {
         level: sorted(set(copy_axes[0][level]) | set(copy_axes[1][level]))
         for level in range(1, k + 1)
     }
-    vs = _chain_weights(_chain(xk[0] + xk[1], halved, joint, w, ndim), halved)
-    # taken before fbar exists, so at most three full-grid arrays are alive
-    chain_max_diff = max(
-        float(np.abs(vl - (wa * wb if level >= r else wa)).max())
-        for level, (vl, wa, wb) in enumerate(zip(vs, ws[0], ws[1]), start=1)
-    )
+    split = 0 in cols and t < 1.0
+    nodes = [(slice(i, i + 1), wi) for i, wi in enumerate(w)] if split else [(slice(None), 1.0)]
+    rest = range(1 if split else 0, ndim)
 
-    # Gibbs average of f over the product measure of the two copies
-    fbar = _pair_mean(
-        [[replica_pair_value(f, s1, s2, mix, float(rsb.q[r])) for s2 in sigmas] for s1 in sigmas],
-        [[np.exp(e - xk[copy]) for e in exps[copy]] for copy in (0, 1)],
-    )
+    def at(arr, index):
+        # an array constant along axis 0 is the same at every node
+        return arr[index] if arr.shape[0] > 1 else arr
+
+    value_v_form = chain_max_diff = 0.0
+    for index, weight in nodes:
+        x_joint = at(xk[0], index) + at(xk[1], index)
+        vs = _chain_weights(_chain(x_joint, halved, joint, w, ndim), halved)
+        for level, (vl, wa, wb) in enumerate(zip(vs, ws[0], ws[1]), start=1):
+            factor = at(wa, index) * at(wb, index) if level >= r else at(wa, index)
+            chain_max_diff = max(chain_max_diff, float(np.abs(vl - factor).max()))
+        fbar = _pair_mean(values, [[at(p, index) for p in probs[copy]] for copy in (0, 1)])
+        value_v_form += float(weight) * _tilted_mean(fbar, vs, w, ndim, rest)
     return MuQuadResult(
-        value=_tilted_mean(fbar, _pair_weights(ws[0], ws[1], r), w, ndim),
-        value_v_form=_tilted_mean(fbar, vs, w, ndim),
+        value=value,
+        value_v_form=value_v_form,
         chain_max_diff=chain_max_diff,
     )
 
 
 def _pair_mean(values, probs) -> np.ndarray:
-    """Sum of values[s1][s2] p1(s1) p2(s2), probs = (p1, p2), over s2 first."""
+    """Sum of values[s1][s2] p1(s1) p2(s2), probs = (p1, p2), over s2 first.
+
+    Each p is an array on its own copy's axes, so the sum spans the axes
+    the two copies span together: the shared axes alone when each copy's
+    private axes are already contracted, one node's slice of the joint
+    grid in the V-form.
+    """
     fbar = np.zeros(np.broadcast_shapes(probs[0][0].shape, probs[1][0].shape))
     for row, p1 in zip(values, probs[0]):
         fbar += p1 * sum(fv * p2 for fv, p2 in zip(row, probs[1]) if fv != 0.0)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import cascadelab
 from cascadelab import cli
 from cascadelab.cli import (
     ConfigError,
@@ -136,6 +137,14 @@ def test_every_report_carries_the_stream_version(command, monkeypatch, capsys):
     assert set(report) == ENVELOPE_KEYS
     assert report["result"] == {"ran": command}
     assert report["stream_version"] == STREAM_VERSION == 2
+
+
+def test_report_version_is_the_package_version(monkeypatch, capsys):
+    # Read from the package itself, so a source checkout and an installed
+    # copy write the same report.
+    monkeypatch.setitem(cli._COMMANDS, "bound", lambda cfg: ([], None, None))
+    assert run(["bound"]) == 0
+    assert json.loads(capsys.readouterr().out)["version"] == cascadelab.__version__
 
 
 def test_pd_tiny_tolerance_fails(capsys):

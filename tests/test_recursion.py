@@ -1,13 +1,20 @@
 """Quadrature chain, the free-energy bound, and its optimization."""
 
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from cascadelab import recursion
-from cascadelab.functionals import REPLICA_FORMS, PairFunctional, PathFunctional
+from cascadelab.functionals import (
+    REPLICA_FORMS,
+    PairFunctional,
+    PathFunctional,
+    replica_pair_value,
+)
 from cascadelab.interpolation import build_coupled_system
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import (
@@ -28,7 +35,7 @@ from cascadelab.recursion import (
     phi0,
     smoothing_step,
 )
-from cascadelab.sk_model import spin_matrix, verify_bound
+from cascadelab.sk_model import monomial_signs, monomial_variances, spin_matrix, verify_bound
 from cascadelab.stats import Estimate, Exact, identity_check
 
 QUAD = QuadratureSpec(nodes_per_level=40)
@@ -339,9 +346,9 @@ def test_mark_chains_match_the_full_grid(k, x_name, monkeypatch):
             assert abs(g - v) <= 1e-14 * max(1.0, abs(v)), (nodes, g, v)
 
 
-@pytest.mark.parametrize(
-    "r, shapes", [(1, [(10, 10, 1, 1), (1, 1, 10, 10)]), (2, [(10, 10, 1), (10, 1, 10)])]
-)
+# Both paths of a restricted chain carry the same X and tau, so they share
+# one path grid on the k mark axes.
+@pytest.mark.parametrize("r, shapes", [(1, [(10, 10)]), (2, [(10, 10)])])
 def test_restricted_paths_keep_to_their_own_axes(r, shapes, monkeypatch):
     seen = []
     path_grid = recursion._path_grid
@@ -362,8 +369,9 @@ def test_restricted_paths_keep_to_their_own_axes(r, shapes, monkeypatch):
 @pytest.mark.parametrize("f", REPLICA_FORMS)
 @pytest.mark.parametrize("N, k, r", [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 1, 1)])
 def test_pair_mean_matches_the_double_loop(f, N, k, r, monkeypatch):
-    # The Gibbs average of f over both copies, summed over copy 2 first,
-    # against the double loop that adds f p1 p2 pair by pair.
+    # Every Gibbs average of f over both copies (the product form's once,
+    # the V-form's once per root node), summed over copy 2 first, against
+    # the double loop that adds f p1 p2 pair by pair.
     seen = []
     pair_mean = recursion._pair_mean
 
@@ -376,14 +384,186 @@ def test_pair_mean_matches_the_double_loop(f, N, k, r, monkeypatch):
     rsb = RSBParams.from_interior((0.4, 0.8)[:k], (0.3, 0.6)[:k])
     quad = QuadratureSpec(nodes_per_level=8, convergence_check=False)
     mu_r_quadrature(N, k, r, sk_mixture(0.6), rsb, 0.3, 0.5, f, quad)
-    (values, (p1, p2), fbar), = seen
-    want = 0.0
-    for row, a in zip(values, p1):
-        for fv, b in zip(row, p2):
-            if fv != 0.0:
-                want = want + fv * a * b
-    assert fbar.shape == np.shape(want)
-    assert np.abs(fbar - want).max() <= 1e-15
+    assert len(seen) == 1 + quad.nodes_per_level
+    for values, (p1, p2), fbar in seen:
+        want = 0.0
+        for row, a in zip(values, p1):
+            for fv, b in zip(row, p2):
+                if fv != 0.0:
+                    want = want + fv * a * b
+        assert fbar.shape == np.shape(want)
+        assert np.abs(fbar - want).max() <= 1e-15
+
+
+# The oracles of the pair quadrature are the full-grid forms that the
+# per-copy contractions replaced: both copies laid out on one grid of every
+# axis of either, multiplied there, and averaged over every axis at once.
+
+
+def _oracle_pair_weights(ws_a, ws_b, r):
+    # W^a_l at every level, W^b_l from level r on
+    out = []
+    for level, (wa, wb) in enumerate(zip(ws_a, ws_b), start=1):
+        out.append(wa)
+        if level >= r:
+            out.append(wb)
+    return out
+
+
+def _full_grid_mean(integrand, weights, w, ndim):
+    return recursion._tilted_mean(integrand, weights, w, ndim, range(ndim))
+
+
+def _oracle_restricted(x_fn, y_pair, rsb, tau, r, quad):
+    # shared levels 1..r-1, then path a's levels r..k, then path b's
+    k = rsb.k
+    ndim = (r - 1) + 2 * (k - r + 1)
+    z, w = gauss_hermite(quad.nodes_per_level)
+    paths = []
+    for copy in (0, 1):
+        base = (r - 1) + copy * (k - r + 1)
+        axes = [level - 1 if level < r else base + level - r for level in range(1, k + 1)]
+        marks, x, level_axes = recursion._path_grid(x_fn, tau, z, ndim, axes)
+        ws = _chain_weights(_chain(x, rsb.m, level_axes, w, ndim), rsb.m)
+        paths.append((np.asarray(y_pair.base(marks), float), ws))
+    (ya, ws_a), (yb, ws_b) = paths
+    integrand = ya * yb if y_pair.form == "pair_product" else ya + yb
+    return _full_grid_mean(integrand, _oracle_pair_weights(ws_a, ws_b, r), w, ndim)
+
+
+def _oracle_mu(N, k, r, mix, rsb, h, t, f, nodes):
+    v = np.maximum(rsb.variances(mix), 0.0)
+    cols = [col for col in range(k + 1) if v[col] > 0.0]
+
+    def key(col, site, copy):
+        return col, site, None if col < r else copy
+
+    z_axes = {}
+    for col in cols:
+        for copy in (0,) if col < r else (0, 1):
+            for site in range(N):
+                z_axes[key(col, site, copy)] = len(z_axes)
+    variances = monomial_variances(N, mix)
+    masks = sorted(mask for mask in variances if mask != 0)
+    ndim = len(z_axes) + len(masks)
+    z, w = gauss_hermite(nodes)
+    sigmas = spin_matrix(N)
+    signs = monomial_signs(N, masks)
+
+    def exponent(s_idx, copy):
+        sigma = sigmas[s_idx]
+        e = np.full((1,) * ndim, h * float(sigma.sum()))
+        if t < 1.0:
+            for site in range(N):
+                field = 0.0
+                for col in cols:
+                    column = recursion._column(
+                        math.sqrt(float(v[col])), z, ndim, z_axes[key(col, site, copy)]
+                    )
+                    field = field + column
+                e = e + math.sqrt(1.0 - t) * float(sigma[site]) * field
+        if t > 0.0:
+            for j, mask in enumerate(masks):
+                column = recursion._column(1.0, z, ndim, len(z_axes) + j)
+                e = e + math.sqrt(t) * math.sqrt(variances[mask]) * float(signs[s_idx, j]) * column
+        return e
+
+    exps = [[exponent(s_idx, copy) for s_idx in range(len(sigmas))] for copy in (0, 1)]
+    xk = [functools.reduce(np.logaddexp, exps[copy]) for copy in (0, 1)]
+    copy_axes = [
+        {
+            level: [z_axes[key(level, site, copy)] for site in range(N)] if level in cols else []
+            for level in range(1, k + 1)
+        }
+        for copy in (0, 1)
+    ]
+    ws = [_chain_weights(_chain(xk[c], rsb.m, copy_axes[c], w, ndim), rsb.m) for c in (0, 1)]
+    halved = rsb.halved_below(r).m
+    joint = {
+        level: sorted(set(copy_axes[0][level]) | set(copy_axes[1][level]))
+        for level in range(1, k + 1)
+    }
+    vs = _chain_weights(_chain(xk[0] + xk[1], halved, joint, w, ndim), halved)
+    chain_max_diff = max(
+        float(np.abs(vl - (wa * wb if level >= r else wa)).max())
+        for level, (vl, wa, wb) in enumerate(zip(vs, ws[0], ws[1]), start=1)
+    )
+    values = [[replica_pair_value(f, s1, s2, mix, float(rsb.q[r])) for s2 in sigmas] for s1 in sigmas]
+    fbar = recursion._pair_mean(values, [[np.exp(e - xk[c]) for e in exps[c]] for c in (0, 1)])
+    return (
+        _full_grid_mean(fbar, _oracle_pair_weights(ws[0], ws[1], r), w, ndim),
+        _full_grid_mean(fbar, vs, w, ndim),
+        chain_max_diff,
+    )
+
+
+def _assert_near_oracle(got, want, label):
+    # rounding of a different contraction order; values the oracle puts
+    # within 1e-12 of zero take an absolute bound
+    bound = 1e-15 if abs(want) < 1e-12 else 1e-14 * max(1.0, abs(want))
+    assert abs(got - want) <= bound, (label, got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("form", ["pair_product", "pair_sum"])
+def test_restricted_chain_matches_the_full_pair_grid(form, k):
+    rsb = RSBParams.from_interior((0.4, 0.8)[:k], (0.3, 0.6)[:k])
+    tau = (0.7, 0.5)[:k]
+    for nodes in (8, 12):
+        quad = QuadratureSpec(nodes_per_level=nodes, convergence_check=False)
+        for base in PATH_BASES:
+            y_pair = PairFunctional(form, base)
+            for r in range(1, k + 1):
+                got = recursion.mark_chain_restricted(PATH_X["logcosh_sum"], y_pair, rsb, tau, r, quad)
+                want = _oracle_restricted(PATH_X["logcosh_sum"], y_pair, rsb, tau, r, quad)
+                _assert_near_oracle(got, want, (nodes, base.form, r))
+
+
+MU_ORACLE_CASES = [(2, 1, 1, t, f) for t in (0.0, 0.5, 1.0) for f in REPLICA_FORMS] + [
+    (1, 2, r, 0.5, f) for r in (1, 2) for f in REPLICA_FORMS
+]
+
+
+@pytest.mark.parametrize("N, k, r, t, f", MU_ORACLE_CASES)
+def test_mu_matches_the_full_pair_grid(N, k, r, t, f):
+    # the cases of test_mu_two_sites_forms_agree, and N = 1, k = 2 at r = 1, 2
+    rsb = RSBParams.from_interior((0.4, 0.8)[:k], (0.5, 0.7)[:k])
+    mix = sk_mixture(0.6)
+    nodes = 8
+    res = mu_r_quadrature(N, k, r, mix, rsb, 0.3, t, f, QuadratureSpec(nodes, False))
+    want = _oracle_mu(N, k, r, mix, rsb, 0.3, t, f, nodes)
+    got = (res.value, res.value_v_form, res.chain_max_diff)
+    for label, g, v in zip(("value", "value_v_form", "chain_max_diff"), got, want):
+        assert isinstance(g, float)
+        _assert_near_oracle(g, v, label)
+
+
+def _traced_peak_mib(call) -> float:
+    call()  # fills the node cache outside the trace
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_quadrature_never_forms_the_full_pair_grid():
+    # The full grid is 40^4 points (39.6 MiB traced) for M_1 at k = 2, and
+    # 14^5 (12.8 MiB) for mu_1 at N = 1, k = 2.
+    rsb = RSBParams.from_interior((0.4, 0.8), (0.3, 0.6))
+    y_pair = PairFunctional("pair_product", PathFunctional("linear"))
+    quad40 = QuadratureSpec(nodes_per_level=40, convergence_check=False)
+    restricted = _traced_peak_mib(
+        lambda: recursion.mark_chain_restricted(PATH_X["logcosh_sum"], y_pair, rsb, (0.7, 0.5), 1, quad40)
+    )
+    assert restricted <= 1.0
+    rsb_e = RSBParams.from_interior((0.3, 0.6), (0.3, 0.6))
+    quad14 = QuadratureSpec(nodes_per_level=14, convergence_check=False)
+    mu = _traced_peak_mib(
+        lambda: mu_r_quadrature(1, 2, 1, sk_mixture(0.5), rsb_e, 0.3, 0.5, "delta_overlap", quad14)
+    )
+    assert mu <= 4.0
 
 
 # phi(0) by its two routes: the level chain on the full (k+1)-axis tensor
