@@ -328,12 +328,6 @@ def log_partition_identity(
 # ---------------------------------------------------------------------------
 
 
-def _pair_value_bound(y: PairFunctional, base_abs_max: float) -> float:
-    if y.form == "pair_product":
-        return base_abs_max**2
-    return 2.0 * base_abs_max
-
-
 def _read_tilt(y_fn, restricted_r, draw):
     casc, marks, _, p, _ = draw
     eps = casc.cumulative_losses()[-1]
@@ -343,13 +337,10 @@ def _read_tilt(y_fn, restricted_r, draw):
         scale = float(np.abs(y).max())
     else:
         yb = leaf_functional(y_fn.base, marks, casc.b, casc.k)
-        if y_fn.form == "pair_product":
-            d = prefix_cross(p * yb, p * yb)
-            stat = d[restricted_r - 1] - d[restricted_r]
-        else:
-            d = prefix_cross(p * yb, p)
-            stat = 2.0 * (d[restricted_r - 1] - d[restricted_r])
-        scale = _pair_value_bound(y_fn, float(np.abs(yb).max()))
+        d = y_fn.mean_over_pair(p * yb, p, prefix_cross)
+        stat = float(d[restricted_r - 1] - d[restricted_r])
+        # |Y| is at most the pair mean of two paths with |y| at its max, weight 1
+        scale = float(y_fn.mean_over_pair(float(np.abs(yb).max()), 1.0))
     return stat, eps * (2.0 - eps) * (abs(stat) + scale)
 
 

@@ -159,6 +159,10 @@ def _mixture(value, key) -> list:
             raise ConfigError(f"mixture powers must be integers, got {power!r}")
         float(power)  # a power past the float range overflows, a usage error
         pairs.append([power, _number(beta, "mixture beta")])
+    try:
+        make_mixture(pairs)  # the mixture's own checks, before any command runs
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return pairs
 
 

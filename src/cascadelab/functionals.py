@@ -84,15 +84,18 @@ class PairFunctional:
         if self.base.form not in ("constant", "linear"):
             raise ValueError("pair functionals take constant or linear bases")
 
-    def mean_over_pair(self, mean_y, mean_1):
+    def mean_over_pair(self, mean_y, mean_1, pair=np.multiply):
         """E Y over two paths drawn independently given their shared part.
 
         ``mean_y`` and ``mean_1`` are one path's conditional means of
         (weight * y) and of the weight alone; the other path's are the same.
+        ``pair(a, b)`` meets the two paths' means on their shared part: a
+        product where that part is a grid axis, ``cascade.prefix_cross``
+        on a cascade's tree prefixes.
         """
         if self.form == "pair_product":
-            return mean_y * mean_y
-        return 2.0 * mean_y * mean_1
+            return np.asarray(pair(mean_y, mean_y))
+        return 2.0 * np.asarray(pair(mean_y, mean_1))
 
 
 def replica_pair_value(

@@ -12,6 +12,7 @@ Convexity of xi on [-1, 1] is enforced structurally: each power is either
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,8 @@ class MixtureFunction:
 
     coefficients: tuple of (p, beta_p) pairs, p integer >= 1, beta_p >= 0.
     Zero beta_p is allowed so degenerate (noise-free) models are
-    representable; negative beta_p is rejected.
+    representable; negative or non-finite beta_p is rejected, and so is a
+    mixture whose xi(1), xi'(1) or xi''(1) overflows.
     """
 
     coefficients: tuple
@@ -38,12 +40,21 @@ class MixtureFunction:
             if p in seen:
                 raise ValueError(f"duplicate power {p}")
             seen.add(p)
+            if not math.isfinite(beta):
+                raise ValueError(f"beta_{p} must be finite, got {beta!r}")
             if beta < 0:
                 raise ValueError(f"beta_{p} must be nonnegative, got {beta!r}")
             if beta > 0 and p != 1 and p % 2 != 0:
                 raise ValueError(
                     f"odd power {p} >= 3 breaks convexity of xi on [-1, 1]"
                 )
+        for name, value in (
+            ("xi(1)", self.xi(1.0)),
+            ("xi'(1)", self.xi_prime(1.0)),
+            ("xi''(1)", self.xi_second(1.0)),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"mixture {list(self.coefficients)} overflows: {name} = {value}")
 
     def xi(self, x):
         x = np.asarray(x, dtype=float)

@@ -13,9 +13,11 @@ gives the k-step upper bound on the free energy; differentiating the
 same chain gives the change-of-density weights W_l whose products define
 the tilted two-replica averages, evaluated here by tensor-product
 Gauss-Hermite quadrature, and the bound's gradient in (m, q), on which
-the optimizer searches.
+the optimizer searches with the package's own L-BFGS (``lbfgs``).
 
 All quadrature is deterministic; Monte Carlo never enters this module.
+scipy enters it only through the spline route of phi(0), whose
+``TabulatedFunction`` imports ``scipy.interpolate`` when first built.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lbfgs
 from .functionals import PairFunctional, PathFunctional, replica_pair_value
 from .mixture import (
     MixtureFunction,
@@ -311,7 +314,8 @@ class BoundOptimum:
 
 
 def _sigmoid(y):
-    return 1.0 / (1.0 + np.exp(-y))
+    # exp(-log(1 + e^-y)): no overflow however far y runs out
+    return np.exp(-np.logaddexp(0.0, -y))
 
 
 def _logit(p):
@@ -398,9 +402,14 @@ def optimize_bound(
 ) -> BoundOptimum:
     """Minimize the bound over strictly ordered (m, q) at fixed k.
 
-    L-BFGS-B on the analytic gradient (``bound_and_gradient``) in a
-    sorted-logistic reparameterization (m_k pinned at 1), restarted from
-    five deterministic initial points.  The search runs on the tensor
+    ``lbfgs.minimize`` on the analytic gradient (``bound_and_gradient``)
+    in a sorted-logistic reparameterization (m_k pinned at 1), restarted
+    from five deterministic initial points.  Each restart stops when
+    max |dB/dy| <= 1e-11 or the relative decrease of B falls to 1e-13
+    (see ``lbfgs`` for how a line search that finds no step ends, and for
+    the kink where two ordered entries meet); ``converged`` requires every
+    restart to stop by these rules and phi(0)'s convergence check, if
+    ``quad`` asks for one, to pass.  The search runs on the tensor
     grid at ``quad``'s node count, or at the largest count whose grid
     fits ``PHI0_TENSOR_BUDGET`` when that one does not.  phi(0) and the
     bound at the optimum, and the convergence check when ``quad`` asks
@@ -422,9 +431,6 @@ def optimize_bound(
         value, grad = bound_and_gradient(_vector_to_params(y, k), mix, h, search)
         return value, _vector_gradient(grad, y, k)
 
-    # Imported here, so that only commands that optimize load scipy.optimize.
-    from scipy.optimize import minimize
-
     best_y = None
     best_val = math.inf
     restart_values = []
@@ -438,13 +444,7 @@ def optimize_bound(
         )
         # gtol acts on dB/dy = dB/dq q (1 - q): at an optimum on the q -> 0
         # edge (high temperature) 1e-11 is what takes max |dB| below 1e-6.
-        res = minimize(
-            objective,
-            y0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": 1e-13, "gtol": 1e-11},
-        )
+        res = lbfgs.minimize(objective, y0, gtol=1e-11, ftol=1e-13)
         all_success = all_success and bool(res.success)
         restart_values.append(float(res.fun))
         if res.fun < best_val:

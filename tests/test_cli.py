@@ -426,6 +426,27 @@ def test_non_finite_config_file_value_exits_two(text, tmp_path, capsys):
     assert captured.out == "" and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--mixture", "[[2, 1e155]]", "--m", "[1.0]", "--q", "[0.5]"],
+        ["optimize", "--mixture", "[[2, 1e155]]", "--k", "1", "--nodes", "12"],
+    ],
+    ids=["bound", "optimize"],
+)
+def test_overflowing_mixture_exits_two_and_names_it(argv, monkeypatch, capsys):
+    command = argv[0]
+
+    def not_reached(cfg):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setitem(cli._COMMANDS, command, not_reached)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mixture [(2, 1e+155)] overflows: xi(1) = inf" in captured.err
+
+
 # One sample value per key, other than its default, as a flag would spell
 # it; a config file quotes the string-valued ones.
 _SAMPLES = {
@@ -592,8 +613,10 @@ def test_whole_float_scan_count_is_accepted():
 
 # Run in a fresh interpreter: the test modules import scipy themselves.
 _IMPORT_PROBE = """
-import contextlib, io, sys
-from cascadelab import cli
+import builtins, contextlib, io, sys
+from cascadelab import cli, recursion
+from cascadelab.mixture import sk_mixture
+from cascadelab.sk_model import verify_bound
 
 def loaded(prefix):
     return sorted(name for name in sys.modules if name == prefix or name.startswith(prefix + "."))
@@ -608,13 +631,32 @@ for argv in (
     ["bound", "--m", "[1.0]", "--q", "[0.5]", "--nodes", "16"],
     ["interpolate", "--check", "phi", "--N", "2", "--b", "10", "--replicas", "10"],
     ["sk-exact", "--N", "4", "--replicas", "10"],
+    ["optimize", "--k", "1", "--nodes", "12"],
+    ["sk-exact", "--N", "4", "--replicas", "10", "--k", "1"],
 ):
     run(argv)
+# the optimized free_energy_bound record at its verify-all --preset smoke size
+verify_bound(6, sk_mixture(1.2), 0.3, 200, recursion.QuadratureSpec(), seed=1, optimize_k=1)
 assert not loaded("scipy"), loaded("scipy")[:5]
 assert not loaded("concurrent.futures.process")
-run(["optimize", "--k", "1", "--nodes", "12"])
-assert loaded("scipy.optimize")
-assert not loaded("scipy.interpolate"), loaded("scipy.interpolate")
+
+# The spline route of phi(0): k = 3 at 40 nodes is 40**4 points, over the budget.
+# scipy.interpolate loads scipy.optimize itself, so what is checked is the
+# set of scipy modules that cascadelab's own import statements ask for.
+assert 40**4 > recursion.PHI0_TENSOR_BUDGET
+asked = set()
+plain_import = builtins.__import__
+
+def recording_import(name, globals=None, locals=None, fromlist=(), level=0):
+    if (globals or {}).get("__name__", "").startswith("cascadelab") and name.startswith("scipy"):
+        asked.add(name)
+    return plain_import(name, globals, locals, fromlist, level)
+
+builtins.__import__ = recording_import
+run(["bound", "--m", "[0.3, 0.6, 1.0]", "--q", "[0.2, 0.5, 0.8]", "--nodes", "40"])
+builtins.__import__ = plain_import
+assert asked == {"scipy.interpolate"}, asked
+assert loaded("scipy.interpolate")
 """
 
 

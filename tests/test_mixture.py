@@ -107,6 +107,31 @@ def test_empty_and_negative_rejected():
         make_mixture([(2, 1.0), (2, 0.5)])
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_rejected(beta):
+    with pytest.raises(ValueError, match="beta_2 must be finite"):
+        make_mixture([(2, beta)])
+
+
+@pytest.mark.parametrize(
+    "pairs, name",
+    [
+        ([(2, 1e155)], "xi(1)"),  # beta^2 overflows
+        ([(2, 1e154)], "xi'(1)"),  # beta^2 = 1e308, p beta^2 overflows
+        ([(2, 0.5), (4, 6e153)], "xi''(1)"),  # only p (p - 1) beta^2 overflows
+    ],
+)
+def test_overflowing_mixture_rejected_by_name(pairs, name):
+    with pytest.raises(ValueError) as info:
+        make_mixture(pairs)
+    assert str(info.value) == f"mixture {pairs} overflows: {name} = inf"
+
+
+def test_largest_finite_mixture_accepted():
+    mix = make_mixture([(2, 1e153), (4, 1e153)])
+    assert math.isfinite(mix.xi_second(1.0))
+
+
 def test_rsb_sequence_validation():
     RSBParams(k=2, m=(0.0, 0.4, 0.8), q=(0.0, 0.3, 0.6, 1.0))
     with pytest.raises(ValueError, match="not strictly increasing"):

@@ -780,6 +780,18 @@ def test_acceptance_optima_are_stationary(beta, h, k):
     assert opt.stationarity <= 1e-6
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_high_temperature_search_runs_out_without_overflow(k):
+    # beta = 0.4, h = 0: the optimum sits on the q -> 0 edge, so the search
+    # drives y = logit(q) out towards -infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        opt = optimize_bound(sk_mixture(0.4), 0.0, k, QUAD24)
+        assert recursion._sigmoid(np.array([-1e4, 0.0, 1e4])).tolist() == [0.0, 0.5, 1.0]
+    assert opt.converged
+    assert opt.params.q[1] < 1e-4
+
+
 def test_linear_term_bound_sits_above_the_free_energy():
     mix = make_mixture([(1, 1.0), (2, 0.5)])
     record = verify_bound(8, mix, 0.0, 400, QUAD24, seed=1750, optimize_k=1)

@@ -68,6 +68,8 @@ COMMANDS = [
     ("usage: bound --k", "1", ["bound", "--k", "2"]),
     ("usage: cascade --tolerance -1", "1", ["cascade", "--tolerance", "-1"]),
     ("usage: bound mixture power 2.5", "1", ["bound", "--mixture", "[[2.5, 1.0]]", "--m", "[1.0]"]),
+    ("usage: bound mixture overflow", "1", ["bound", "--mixture", "[[2, 1e155]]", "--m", "[1.0]",
+                                            "--q", "[0.5]"]),
     ("usage: bound --scan-q1 count 1e999", "1", ["bound", "--scan-q1", "[0.1, 0.5, 1e999]",
                                                  "--csv-out", "s.csv"]),
     ("usage: interpolate --step 0", "1", ["interpolate", "--check", "derivative", "--step", "0"]),
