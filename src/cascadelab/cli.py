@@ -117,13 +117,6 @@ def _number(value, key) -> float:
     return _finite(float(_real(value, key)), key)
 
 
-def _positive(value, key) -> float:
-    value = _number(value, key)
-    if not value > 0.0:
-        raise ConfigError(f"{key} must be > 0, got {value}")
-    return value
-
-
 def _tolerance(value, key) -> float:
     if not 0.0 <= _real(value, key) < math.inf:
         raise ConfigError(f"tolerance must be finite and >= 0, got {value}")
@@ -236,7 +229,6 @@ _KEYS = {
     "r": _Key(None, _levels),
     "h": _Key(0.0, _number, float),
     "k": _Key(None, _integer(), int, commands=("optimize", "sk-exact")),
-    "step": _Key(0.02, _positive, float),
     "seed": _Key(1729, _integer(0), int),
     "tolerance": _Key(3.0, _tolerance, float),
     "mark_family": _Key("two_point", _string, None, tuple(MARK_PRESETS), ("pd",)),
@@ -620,7 +612,7 @@ def cmd_interpolate(cfg: RunConfig):
     elif cfg.check == "derivative":
         report = derivative_check(
             cfg.N, cfg.t, mix, rsb, cfg.b, cfg.h, cfg.replicas,
-            child_seed(cfg.seed, 64), step=cfg.step, tolerance_multiplier=cfg.tolerance,
+            child_seed(cfg.seed, 64), tolerance_multiplier=cfg.tolerance,
         )
         records.append(report.record)
     elif cfg.check == "overlap":

@@ -12,8 +12,8 @@ The derivative identity is different: it holds verbatim for the realized
 truncated system (its proof is Gaussian integration by parts at fixed
 weights, and truncation changes neither the field covariances nor the
 Hamiltonian law), so the formula side is evaluated raw, without any
-truncation correction, and the only systematic term in that check is the
-finite-difference step.
+truncation correction.  Its other side is the exact pathwise derivative
+of log Z_t for the same draw, so that check has no systematic term.
 """
 
 from dataclasses import dataclass, field, replace
@@ -46,11 +46,6 @@ MAX_JOINT_STATES = 2_500_000
 MAX_COUPLED_SITES = 4
 MAX_COUPLED_RSB = 2
 NORMALIZATION_TOL = 1e-10
-
-DERIVATIVE_STEP = 0.02
-# Central differences carry a phi'''(t) delta^2 / 6 bias; the third
-# derivative stays O(1) at desk-scale couplings, so this is generous.
-DERIVATIVE_CURVATURE = 5.0
 
 _OP_PHI = 1
 _OP_DERIVATIVE = 2
@@ -342,11 +337,10 @@ def _pair_terms(system: GibbsSystem):
 
 @dataclass
 class DerivativeReport:
-    """Numeric phi'(t) against the three-term formula, per-term detail."""
+    """Pathwise phi'(t) against the three-term formula, per-term detail."""
 
     t: float
-    delta: float
-    numeric: Estimate
+    pathwise: Estimate
     formula: Estimate
     theta_term: Estimate
     delta_term: Estimate
@@ -354,15 +348,18 @@ class DerivativeReport:
     record: CheckRecord
 
 
-def _read_derivative(step: float, system: GibbsSystem):
-    """Central difference of log Z / N and the two pair terms at t.
+def _read_derivative(system: GibbsSystem):
+    """Pathwise d/dt log Z_t / N and the two pair terms at t.
 
-    Common random numbers: all three times read the one disorder draw.
+    For the realized draw, d/dt log Z_t = <H(sigma) / (2 sqrt t) -
+    sigma.s^alpha / (2 sqrt(1 - t))>_t exactly; 0 < t < 1 keeps both
+    weights finite.
     """
-    lo = system.at(system.t - step)
-    hi = system.at(system.t + step)
-    numeric = (hi.log_norm - lo.log_norm) / (2.0 * step * system.N)
-    return (numeric, *_pair_terms(system))
+    t = system.t
+    energy = system.gamma.sum(axis=1) @ system.table.values
+    field_term = np.vdot(system.gamma, system.tilt)
+    pathwise = (energy / (2.0 * np.sqrt(t)) - field_term / (2.0 * np.sqrt(1.0 - t))) / system.N
+    return (pathwise, *_pair_terms(system))
 
 
 def derivative_check(
@@ -374,42 +371,37 @@ def derivative_check(
     h: float,
     replicas: int,
     seed: int,
-    step: float = DERIVATIVE_STEP,
     tolerance_multiplier: float = 3.0,
 ) -> DerivativeReport:
-    """Central difference of phi against the exact Gibbs-average formula."""
-    if not step > 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if not step < t < 1.0 - step:
-        raise ValueError(f"t = {t} outside [{step}, {1.0 - step}]")
+    """Pathwise derivative of phi against the exact Gibbs-average formula."""
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"t = {t} outside (0, 1)")
     _check_joint_budget(N, rsb, b, t)
     rsb.requires_simulable()
     build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = ((MODULE_INTERP, _OP_DERIVATIVE), build, partial(_read_derivative, step))
+    args = ((MODULE_INTERP, _OP_DERIVATIVE), build, _read_derivative)
     vals = run_replicas(replica_rows, args, seed, replicas)
     constant = -0.5 * theta(mixture, 1.0)
-    numeric = Estimate.from_values(vals[:, 0])
+    pathwise = Estimate.from_values(vals[:, 0])
     theta_term = Estimate.from_values(0.5 * vals[:, 1])
     delta_term = Estimate.from_values(0.5 * vals[:, 2])
-    formula = Estimate.from_values(constant + 0.5 * vals[:, 1] - 0.5 * vals[:, 2])
-    diffs = vals[:, 0] - (constant + 0.5 * vals[:, 1] - 0.5 * vals[:, 2])
+    formula_vals = constant + 0.5 * vals[:, 1] - 0.5 * vals[:, 2]
+    formula = Estimate.from_values(formula_vals)
+    diffs = vals[:, 0] - formula_vals
     record = identity_check(
         "derivative_identity",
-        numeric,
+        pathwise,
         formula,
         tolerance_multiplier,
-        allowance=DERIVATIVE_CURVATURE * step**2,
         extras={
             "t": t,
-            "step": step,
             "paired_diff_mean": float(diffs.mean()),
             "paired_diff_se": float(diffs.std(ddof=1) / np.sqrt(len(diffs))),
         },
     )
     return DerivativeReport(
         t=t,
-        delta=step,
-        numeric=numeric,
+        pathwise=pathwise,
         formula=formula,
         theta_term=theta_term,
         delta_term=delta_term,

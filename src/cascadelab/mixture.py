@@ -85,10 +85,6 @@ class MixtureFunction:
     def has_linear_part(self) -> bool:
         return any(p == 1 and beta > 0 for p, beta in self.coefficients)
 
-    def is_even(self) -> bool:
-        """True when every active power is even (H is then sign-symmetric)."""
-        return all(p % 2 == 0 for p, beta in self.coefficients if beta > 0)
-
 
 def make_mixture(coefficients) -> MixtureFunction:
     """Build a MixtureFunction from an iterable of (p, beta_p) pairs.

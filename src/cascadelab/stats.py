@@ -5,7 +5,7 @@ An identity check passes when
     |lhs - rhs| <= tolerance_multiplier * sqrt(lhs_se^2 + rhs_se^2) + allowance
 
 where the allowance is a declared analytic bound on systematic error
-(finite truncation of point processes, finite-difference bias).  Every
+(finite truncation of point processes and cascades).  Every
 comparison in the package and in the CLI reports goes through
 ``identity_check`` so the rule is auditable in one place.
 """

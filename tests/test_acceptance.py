@@ -194,7 +194,7 @@ def test_criterion_09_derivative_identity():
     rsb = RSBParams.from_interior((0.4, 0.95), (0.3, 0.6))
     report = derivative_check(4, 0.5, sk_mixture(0.5), rsb, 50, 0.3, 400, seed=1901)
     _collect(failures, report.record)
-    _report(9, "interpolation derivative, numeric vs formula", 300, started, failures)
+    _report(9, "interpolation derivative, pathwise vs formula", 300, started, failures)
 
 
 def test_criterion_10_gibbs_overlap_masses():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cascadelab
-from cascadelab import cli
+from cascadelab import cli, interpolation
 from cascadelab.cli import (
     ConfigError,
     child_seed,
@@ -59,6 +59,8 @@ def test_config_parse_errors():
         parse_config_text("nonsense = ???\n")
     with pytest.raises(ConfigError, match="unknown config key 'foo'"):
         parse_config_text("foo = 1\n")
+    with pytest.raises(ConfigError, match="unknown config key 'step'"):
+        parse_config_text("step = 0.02\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("seed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="line 2"):
@@ -401,11 +403,10 @@ def test_config_keys_are_the_defaults():
         ["interpolate", "--check", "phi", "--h", "nan", "--N", "2", "--b", "10",
          "--replicas", "10"],
         ["interpolate", "--t", "nan", "--N", "2", "--b", "10", "--replicas", "10"],
-        ["interpolate", "--check", "derivative", "--step", "inf", "--N", "2", "--b", "10",
-         "--replicas", "10"],
         ["bound", "--m", "[1.0]", "--q", "[1e999]"],
         ["cascade", "--m", "[0.5, 1e999]", "--q", "[0.3, 0.6]", "--b", "10"],
         ["interpolate", "--t-grid", "[0.0, -1e999]", "--N", "2", "--b", "10"],
+        ["bound", "--mixture", "[[2, 1e999]]", "--m", "[1.0]", "--q", "[0.5]"],
     ],
 )
 def test_non_finite_float_option_exits_two(argv, capsys):
@@ -463,7 +464,6 @@ _SAMPLES = {
     "r": "2",
     "h": "-1",
     "k": "2",
-    "step": "0.01",
     "seed": "0",
     "tolerance": "4",
     "mark_family": "lognormal",
@@ -565,7 +565,6 @@ def test_sk_exact_bound_records_replica_floor(capsys):
 
 _BIG = "1" + "0" * 400  # an integer past the float range
 _BOUND = ["bound", "--m", "[1.0]", "--q", "[0.5]"]
-_DERIVATIVE = ["interpolate", "--check", "derivative", "--N", "2", "--b", "4", "--replicas", "10"]
 
 
 @pytest.mark.parametrize(
@@ -581,11 +580,9 @@ _DERIVATIVE = ["interpolate", "--check", "derivative", "--N", "2", "--b", "4", "
         (_BOUND + ["--mixture", "[[True, 1.0]]"], None, "mixture powers must be integers, got True"),
         (_BOUND + ["--mixture", "[[2, [1.0]]]"], None, "mixture beta must be a number"),
         (_BOUND + ["--mixture", f"[[{_BIG}, 1.0]]"], None, "mixture: int too large"),
-        (_DERIVATIVE + ["--step", "0"], None, "step must be > 0, got 0.0"),
-        (_DERIVATIVE + ["--step", "-0.1"], None, "step must be > 0, got -0.1"),
     ],
     ids=["m-overflow", "config-h-overflow", "scan-inf", "scan-2.5", "power-2.5", "power-bool",
-         "beta-list", "power-overflow", "step-0", "step-negative"],
+         "beta-list", "power-overflow"],
 )
 def test_out_of_range_values_exit_two_before_the_command(
     argv, config, message, tmp_path, monkeypatch, capsys
@@ -604,6 +601,17 @@ def test_out_of_range_values_exit_two_before_the_command(
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     assert not Path("s.csv").exists()
+
+
+def test_derivative_at_an_end_time_exits_two(monkeypatch, capsys):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(interpolation, "build_cascade", not_reached)
+    argv = ["interpolate", "--check", "derivative", "--t", "1", "--N", "2", "--b", "4"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t = 1.0 outside (0, 1)" in captured.err
 
 
 def test_whole_float_scan_count_is_accepted():

@@ -16,6 +16,7 @@ from cascadelab.interpolation import (
     MODULE_INTERP,
     CoupledGibbsSystem,
     _pair_terms,
+    _read_derivative,
     build_coupled_system,
     build_system,
     derivative_check,
@@ -158,24 +159,27 @@ def test_system_at_matches_fresh_build():
         assert np.array_equal(moved.gamma, fresh.gamma)
 
 
-def _oracle_derivative_values(N, t, step, mix, rsb, b, h, replicas, seed):
-    # the three independent builds per replica that one draw replaced
+def _oracle_derivative_values(N, t, mix, rsb, b, h, replicas, seed):
+    # a fresh build per replica, its pathwise derivative summed state by state
     vals = np.empty((replicas, 3))
     for rep in range(replicas):
-        base = (seed, MODULE_INTERP, _OP_DERIVATIVE, rep)
-        lo = build_system(N, t - step, mix, rsb, b, h, base)
-        hi = build_system(N, t + step, mix, rsb, b, h, base)
-        mid = build_system(N, t, mix, rsb, b, h, base)
-        vals[rep, 0] = (hi.log_norm - lo.log_norm) / (2.0 * step * N)
-        vals[rep, 1:] = _pair_terms(mid)
+        system = build_system(N, t, mix, rsb, b, h, (seed, MODULE_INTERP, _OP_DERIVATIVE, rep))
+        slope = (
+            system.table.values[:, None] / (2.0 * math.sqrt(t))
+            - system.tilt / (2.0 * math.sqrt(1.0 - t))
+        )
+        vals[rep, 0] = np.einsum("sa,sa->", system.gamma, slope) / N
+        vals[rep, 1:] = _pair_terms(system)
     return vals
 
 
-def test_derivative_matches_three_build_oracle():
-    mix, step = sk_mixture(0.5), 0.02
+def test_derivative_matches_fresh_build_oracle():
+    mix = sk_mixture(0.5)
     report = derivative_check(2, 0.4, mix, RSB2, 10, 0.3, 40, seed=11)
-    vals = _oracle_derivative_values(2, 0.4, step, mix, RSB2, 10, 0.3, 40, 11)
-    assert report.numeric == Estimate.from_values(vals[:, 0])
+    vals = _oracle_derivative_values(2, 0.4, mix, RSB2, 10, 0.3, 40, 11)
+    oracle = Estimate.from_values(vals[:, 0])
+    assert report.pathwise.mean == pytest.approx(oracle.mean, rel=1e-12, abs=1e-14)
+    assert report.pathwise.std_error == pytest.approx(oracle.std_error, rel=1e-9)
     assert report.theta_term == Estimate.from_values(0.5 * vals[:, 1])
     assert report.delta_term == Estimate.from_values(0.5 * vals[:, 2])
     constant = report.constant_term
@@ -207,19 +211,36 @@ def test_gibbs_overlap_mass_same_across_workers(monkeypatch):
     assert out["1"] == out["2"]
 
 
-@pytest.mark.parametrize("step", [0.0, -0.1])
-def test_derivative_rejects_nonpositive_step(step, monkeypatch):
+def test_derivative_rejects_edge_times(monkeypatch):
+    # at t = 0 and t = 1 one term of the pathwise derivative has no finite weight
     def not_reached(*args, **kwargs):
         raise AssertionError("a replica ran")
 
     monkeypatch.setattr(interpolation, "build_cascade", not_reached)
-    with pytest.raises(ValueError, match="step must be > 0"):
-        derivative_check(2, 0.5, sk_mixture(0.5), RSB1, 4, 0.3, 10, seed=3, step=step)
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match=f"t = {t} outside \\(0, 1\\)"):
+            derivative_check(2, t, sk_mixture(0.5), RSB1, 4, 0.3, 10, seed=3)
 
 
-def test_derivative_rejects_edge_times():
-    with pytest.raises(ValueError, match="outside"):
-        derivative_check(2, 0.01, sk_mixture(0.5), RSB1, 20, 0.0, 10, seed=1)
+@pytest.mark.parametrize(
+    "beta, N, rsb",
+    [(0.5, 3, RSB1), (1.2, 3, RSB1), (0.5, 4, RSB2), (1.2, 4, RSB2)],
+    ids=["beta0.5-N3-k1", "beta1.2-N3-k1", "beta0.5-N4-k2", "beta1.2-N4-k2"],
+)
+def test_pathwise_derivative_matches_central_differences(beta, N, rsb):
+    # a central difference at step d errs by phi'''(t) d^2 / 6 + O(d^4), so
+    # halving d cuts its distance to the exact derivative about fourfold;
+    # |phi'''| / 6 stays under 0.14 on these draws
+    t, curvature = 0.5, 0.5
+    for rep in range(3):
+        system = build_system(N, t, sk_mixture(beta), rsb, 12, 0.3, seed=(43, rep))
+        exact = _read_derivative(system)[0]
+        errors = [
+            abs((system.at(t + d).log_norm - system.at(t - d).log_norm) / (2.0 * d * N) - exact)
+            for d in (0.02, 0.01)
+        ]
+        assert errors[0] <= curvature * 0.02**2, (rep, errors)
+        assert 0.24 <= errors[1] / errors[0] <= 0.26, (rep, errors)
 
 
 def test_overlap_masses_match_exponent_jumps():

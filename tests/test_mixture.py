@@ -192,8 +192,3 @@ def test_xi_second_of_a_linear_term_is_zero():
     mix = make_mixture([(1, 0.6)])
     assert mix.xi_second(0.0) == 0.0
     assert np.array_equal(mix.xi_second(np.array([0.0, 0.5])), [0.0, 0.0])
-
-
-def test_even_mixture_flag():
-    assert make_mixture([(2, 1.0), (4, 0.5)]).is_even()
-    assert not make_mixture([(1, 0.5), (2, 1.0)]).is_even()

@@ -72,7 +72,8 @@ COMMANDS = [
                                             "--q", "[0.5]"]),
     ("usage: bound --scan-q1 count 1e999", "1", ["bound", "--scan-q1", "[0.1, 0.5, 1e999]",
                                                  "--csv-out", "s.csv"]),
-    ("usage: interpolate --step 0", "1", ["interpolate", "--check", "derivative", "--step", "0"]),
+    ("usage: interpolate --check derivative --t 1", "1",
+     ["interpolate", "--check", "derivative", "--t", "1"]),
 ]
 
 
