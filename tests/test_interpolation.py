@@ -222,6 +222,20 @@ def test_derivative_rejects_edge_times(monkeypatch):
             derivative_check(2, t, sk_mixture(0.5), RSB1, 4, 0.3, 10, seed=3)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_derivative_rejects_nonpositive_step(step, monkeypatch):
+    # the derivative is read pathwise, so no finite-difference step is taken;
+    # the value is refused as a step keyword and as a time, before any replica
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(interpolation, "build_cascade", not_reached)
+    with pytest.raises(TypeError, match="step"):
+        derivative_check(2, 0.5, sk_mixture(0.5), RSB1, 4, 0.3, 10, seed=3, step=step)
+    with pytest.raises(ValueError, match=f"t = {step} outside \\(0, 1\\)"):
+        derivative_check(2, step, sk_mixture(0.5), RSB1, 4, 0.3, 10, seed=3)
+
+
 @pytest.mark.parametrize(
     "beta, N, rsb",
     [(0.5, 3, RSB1), (1.2, 3, RSB1), (0.5, 4, RSB2), (1.2, 4, RSB2)],
