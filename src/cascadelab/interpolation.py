@@ -324,12 +324,12 @@ def _pair_terms(system: GibbsSystem):
     xi_avg = float(table.variances @ g**2) / N
 
     moments = system.gamma.T @ spin_matrix(N)
+    # xi'(q_1), ..., xi'(q_k) and xi'(1), the same at every site
+    slope = [float(mix.xi_prime(v)) for v in (*q[1 : k + 1], 1.0)]
     r_xi = 0.0
     for i in range(N):
         d = prefix_cross(moments[:, i].reshape((b,) * k), moments[:, i].reshape((b,) * k))
-        r_xi += sum(
-            (d[r - 1] - d[r]) * float(mix.xi_prime(q[r])) for r in range(1, k + 1)
-        ) + d[k] * float(mix.xi_prime(1.0))
+        r_xi += sum((d[r - 1] - d[r]) * slope[r - 1] for r in range(1, k + 1)) + d[k] * slope[k]
     r_xi /= N
 
     return theta_avg, xi_avg - r_xi + theta_avg

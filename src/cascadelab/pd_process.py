@@ -26,6 +26,15 @@ STATISTICS = ("pair_sum", "max_weight", "mean_mark")
 _TILT_POOL = 4096
 # Buckets of the tilted-mark search: a power of two, two per pool entry.
 _BUCKETS = 8192
+# Points per block of the elementwise kernels: their scratch arrays are one
+# block long, never n_max points, and at this size the Python loop over
+# blocks costs little next to the arithmetic in a block.
+_BLOCK = 1 << 14
+
+
+def _blocks(size: int):
+    """Slices of at most ``_BLOCK`` points covering ``range(size)``."""
+    return [slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,7 @@ class MarkSpec:
 
         With ``out = (x, None)`` only X is drawn, and Y is returned as
         None.  X comes first from the stream, so it takes the same values.
+        Beyond ``out`` the draw allocates one block of scratch.
         """
         x, y = (np.empty(size), np.empty(size)) if out is None else out
         if self.family == "constant":
@@ -86,21 +96,30 @@ class MarkSpec:
             if y is not None:
                 rng.standard_normal(out=y)
                 # Y from G and G' before X overwrites G.
-                y *= np.sqrt(1 - self.rho**2)
-                y += self.rho * x
-                y *= self.sigma_y
+                rho_x = np.empty(min(size, _BLOCK))
+                rho_perp = np.sqrt(1 - self.rho**2)
+                for b in _blocks(size):
+                    yb = y[b]
+                    yb *= rho_perp
+                    yb += np.multiply(x[b], self.rho, out=rho_x[: yb.size])
+                    yb *= self.sigma_y
                 np.exp(y, out=y)
             x *= self.sigma_x
             np.exp(x, out=x)
             x += self.shift
         else:
             rng.random(out=x)
-            pick = (x < self.p).view(np.uint8)
-            # The indices are 0 and 1, so "clip" changes no value; it spares
-            # the buffered copy that take makes into ``out`` in "raise" mode.
-            np.take(np.array((self.xs[1], self.xs[0]), dtype=float), pick, out=x, mode="clip")
-            if y is not None:
-                np.take(np.array((self.ys[1], self.ys[0]), dtype=float), pick, out=y, mode="clip")
+            table_x = np.array((self.xs[1], self.xs[0]), dtype=float)
+            table_y = np.array((self.ys[1], self.ys[0]), dtype=float)
+            pick = np.empty(min(size, _BLOCK), np.intp)
+            for b in _blocks(size):
+                xb = x[b]
+                pb = np.less(xb, self.p, out=pick[: xb.size])
+                # The indices are 0 and 1, so "clip" changes no value; it
+                # spares the buffered copy that take makes in "raise" mode.
+                np.take(table_x, pb, out=xb, mode="clip")
+                if y is not None:
+                    np.take(table_y, pb, out=y[b], mode="clip")
         return x, y
 
     def min_x(self) -> float:
@@ -161,8 +180,9 @@ def _pair_sum_chunk(args, master, start, stop):
         rng = derive_rng(master, MODULE_PD, rep)
         _sample_points(rng, m, n_max, out=u)
         s = u.sum()
-        q = float((u * u).sum() / (s * s))
         t = _tail_mass(u[-1], m)
+        # The sum and the last point are read, so u is squared in place.
+        q = float(np.multiply(u, u, out=u).sum() / (s * s))
         eps = t / (s + t)
         # Bracket for the untruncated pair sum: the full denominator is at
         # least s and the truncated numerator is a lower bound, so the full
@@ -183,27 +203,40 @@ def estimate_pair_sum(m: float, n_max: int, replicas: int, seed: int) -> Estimat
 
 
 def _statistic(name: str, u: np.ndarray, y: np.ndarray) -> float:
+    """A menu statistic of the points ``u`` with marks ``y``; overwrites ``u``."""
     s = u.sum()
     if name == "pair_sum":
-        return float((u * u).sum() / (s * s))
+        return float(np.multiply(u, u, out=u).sum() / (s * s))
     if name == "max_weight":
         return float(u.max() / s)
     if name == "mean_mark":
-        return float((u * y).sum() / s)
+        return float(np.multiply(u, y, out=u).sum() / s)
     raise ValueError(f"statistic {name!r} not in menu {STATISTICS}")
 
 
-def _bucket_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _bucket_starts(cdf: np.ndarray) -> np.ndarray:
+    """The first entry of ``cdf`` above each bucket edge j / B."""
+    return cdf.searchsorted(np.arange(_BUCKETS) / _BUCKETS, side="right")
+
+
+def _bucket_search(cdf: np.ndarray, u: np.ndarray, start=None, out=None) -> np.ndarray:
     """``cdf.searchsorted(u, side="right")`` through a bucket table.
 
     ``cdf`` is nondecreasing with ``cdf[-1] == 1`` and every u lies in
     [0, 1).  The bucket count is a power of two, so the edge j / B and
     the bucket floor(u B) are exact: u >= j / B and every entry before
     ``start[j]`` is <= u, so a forward walk from there finds the first
-    entry above u, which ``cdf[-1] = 1`` bounds.
+    entry above u, which ``cdf[-1] = 1`` bounds.  ``start`` is the table
+    of ``cdf``, computed here if not given, and the indices go into the
+    intp array ``out`` if given.
     """
-    start = cdf.searchsorted(np.arange(_BUCKETS) / _BUCKETS, side="right")
-    idx = start[(u * _BUCKETS).astype(np.intp)]
+    if start is None:
+        start = _bucket_starts(cdf)
+    idx = np.empty(u.shape, np.intp) if out is None else out
+    # The cast truncates u B, which lies in [0, B), to its bucket.
+    np.multiply(u, _BUCKETS, out=idx, casting="unsafe")
+    # In place: each bucket is read before its slot takes the start.
+    np.take(start, idx, out=idx, mode="clip")
     behind = np.flatnonzero(cdf[idx] <= u)
     while behind.size:
         idx[behind] += 1
@@ -211,7 +244,7 @@ def _bucket_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _tilted_marks(spec: MarkSpec, m: float, rng: np.random.Generator, size: int):
+def _tilted_marks(spec: MarkSpec, m: float, rng: np.random.Generator, size: int, out=None):
     """Draw marks from the law reweighted by X^m / E X^m, plus the scale.
 
     Direct Monte Carlo: resample a fresh pool of (X, Y) pairs with
@@ -219,19 +252,34 @@ def _tilted_marks(spec: MarkSpec, m: float, rng: np.random.Generator, size: int)
     use it so degenerate cases reproduce exactly.  The draw is the one
     ``rng.choice(pool, size, p=X^m / sum X^m)`` makes, value for value;
     with ``size = 0`` no index is drawn and only the scale is of use.
+    Returns ``(c, x, y)``.  The marks go into the float arrays ``out`` if
+    given, as in ``MarkSpec.sample``, except that a None slot is not
+    gathered at all and comes back None.
     """
     pool_x, pool_y = spec.sample(rng, _TILT_POOL)
     xm = pool_x**m
     total = xm.sum()
     if not (np.isfinite(total) and total > 0.0) or (xm < 0).any():
         raise ValueError("tilt pool weights must be finite, nonnegative, not all zero")
-    cdf = np.cumsum(xm / total)
-    cdf /= cdf[-1]
-    idx = _bucket_search(cdf, rng.random(size))
     c = spec.exact_scale(m)
     if c is None:
         c = float(xm.mean() ** (1.0 / m))
-    return c, pool_x[idx], pool_y[idx]
+    xm /= total
+    cdf = np.cumsum(xm, out=xm)
+    cdf /= cdf[-1]
+    x, y = (np.empty(size), np.empty(size)) if out is None else out
+    if size:
+        start = _bucket_starts(cdf)
+        keys = np.empty(min(size, _BLOCK))
+        idx = np.empty(keys.size, np.intp)
+        for b in _blocks(size):
+            # Blocks of uniforms are the stream's values for one call, in order.
+            u = rng.random(out=keys[: b.stop - b.start])
+            found = _bucket_search(cdf, u, start, out=idx[: u.size])
+            for pool, dest in ((pool_x, x), (pool_y, y)):
+                if dest is not None:
+                    np.take(pool, found, out=dest[b], mode="clip")
+    return c, x, y
 
 
 def _invariance_chunk(args, master, start, stop):
@@ -250,8 +298,8 @@ def _invariance_chunk(args, master, start, stop):
         spec.sample(rng_m, n_max, out=(x, y))
         # side (a): the marked-and-multiplied process (u X, Y)
         out[i, 0] = _statistic(statistic, np.multiply(x, u, out=x), y)
-        # side (b): the same points scaled by (E X^m)^(1/m), marks tilted
-        c, _, y_t = _tilted_marks(spec, m, rng_t, tilted_size)
+        # side (b): the same points scaled by (E X^m)^(1/m), tilted Y in y
+        c, _, y_t = _tilted_marks(spec, m, rng_t, tilted_size, out=(None, y))
         out[i, 1] = _statistic(statistic, np.multiply(u, c, out=u), y_t)
     return out
 
@@ -267,7 +315,9 @@ def verify_invariance(
     """Compare a menu statistic on the marked process vs the tilted one.
 
     Returns (marked Estimate, tilted Estimate).  Both sides share the
-    underlying points per replica, which only tightens the comparison.
+    underlying points per replica, so the two estimates are correlated,
+    but ``identity_check`` combines their standard errors as if they were
+    independent: the sharing does not tighten the tolerance it applies.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"statistic {statistic!r} not in menu {STATISTICS}")

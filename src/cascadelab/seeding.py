@@ -9,7 +9,9 @@ result bit for bit.
 ``replica_rows`` is the replica loop of every cascade, disorder and
 Gibbs estimator: a build from the replica's seed, then a read of one
 row.  Only ``pd_process`` keeps chunk functions of its own: they refill
-buffers allocated once per chunk, one replica's n_max points at a time.
+at most three n_max-point buffers allocated once per chunk, one
+replica's points at a time, and allocate nothing of n_max points per
+replica; the elementwise work beyond those buffers runs in fixed blocks.
 
 The tree samplers in ``cascade`` take one stream per tree level.
 ``STREAM_VERSION`` names that layout and goes into every report:

@@ -1,17 +1,22 @@
 """Point process: pair sum, mark invariance, and the moment identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cascadelab.pd_process import (
+    _BLOCK,
     _BUCKETS,
     _TILT_POOL,
+    STATISTICS,
     MarkSpec,
     _bucket_search,
     _corollary_chunk,
     _invariance_chunk,
+    _mark_moment_chunk,
+    _pair_sum_chunk,
     _sample_points,
     _statistic,
     _tail_mass,
@@ -346,3 +351,128 @@ def test_replica_chunks_match_formulas(spec):
     assert np.array_equal(
         _corollary_chunk(args, 67, 0, 6), _oracle_corollary_chunk(args, 67, 0, 6)
     )
+
+
+# ---------------------------------------------------------------------------
+# block loops
+#
+# The elementwise work runs in blocks of _BLOCK points.  The sizes below
+# straddle a block edge; every kernel must still give the oracles' bits.
+# ---------------------------------------------------------------------------
+
+BLOCK_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+
+
+def _oracle_pair_sum_chunk(args, master, start, stop):
+    m, n_max = args
+    out = np.empty((stop - start, 2))
+    for i, rep in enumerate(range(start, stop)):
+        u = _oracle_sample_points(derive_rng(master, MODULE_PD, rep), m, n_max)
+        s = u.sum()
+        q = (u * u).sum() / (s * s)
+        t = _tail_mass(u[-1], m)
+        eps = t / (s + t)
+        out[i] = (q, q * eps * (2.0 - eps))
+    return out
+
+
+def _oracle_mark_moment_chunk(args, master, start, stop):
+    m, spec, batch = args
+    out = np.empty((stop - start, 3))
+    for i, rep in enumerate(range(start, stop)):
+        x, y = _oracle_marks(spec, derive_rng(master, MODULE_PD, 1 << 20, rep), batch)
+        exm = (x**m).mean()
+        r1 = (x ** (m - 1) * y).mean() / exm
+        r2 = (1.0 - m) * (x ** (m - 2) * y * y).mean() / exm
+        out[i] = (r1, r2, m * r1 * r1)
+    return out
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("spec", MARK_SPECS, ids=lambda s: s.family)
+def test_block_edges_keep_the_oracle_bits(spec, size):
+    want_x, want_y = _oracle_marks(spec, derive_rng(71, size), size)
+    bufs = (np.full(size, np.nan), np.full(size, np.nan))
+    x, y = spec.sample(derive_rng(71, size), size, out=bufs)
+    assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+    x_alone, _ = spec.sample(derive_rng(71, size), size, out=(np.full(size, np.nan), None))
+    assert np.array_equal(x_alone, want_x)
+
+    c_old, x_old, y_old = _oracle_tilted_marks(spec, 0.6, derive_rng(73, size), size)
+    for slots in ((True, True), (False, True), (True, False)):
+        out = tuple(np.full(size, np.nan) if kept else None for kept in slots)
+        c, x_t, y_t = _tilted_marks(spec, 0.6, derive_rng(73, size), size, out=out)
+        assert c == c_old
+        assert x_t is out[0] and y_t is out[1]
+        for got, want in ((x_t, x_old), (y_t, y_old)):
+            assert got is None or np.array_equal(got, want)
+
+    u = _oracle_sample_points(derive_rng(79, size), 0.6, size)
+    s = u.sum()
+    plain = {"pair_sum": (u * u).sum() / (s * s), "max_weight": u.max() / s,
+             "mean_mark": (u * want_y).sum() / s}
+    for statistic in STATISTICS:
+        assert _statistic(statistic, u.copy(), want_y) == plain[statistic]
+
+    for statistic in STATISTICS:
+        args = (0.6, size, statistic, spec)
+        assert np.array_equal(
+            _invariance_chunk(args, 83, 0, 2), _oracle_invariance_chunk(args, 83, 0, 2)
+        )
+    args = (0.5, size, spec)
+    assert np.array_equal(
+        _corollary_chunk(args, 89, 0, 2), _oracle_corollary_chunk(args, 89, 0, 2)
+    )
+    args = (0.5, spec, size)
+    assert np.array_equal(
+        _mark_moment_chunk(args, 97, 0, 2), _oracle_mark_moment_chunk(args, 97, 0, 2)
+    )
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_pair_sum_chunk_at_block_edges(size):
+    args = (0.4, size)
+    assert np.array_equal(
+        _pair_sum_chunk(args, 101, 0, 3), _oracle_pair_sum_chunk(args, 101, 0, 3)
+    )
+
+
+# What a chunk may hold beyond its buffers, at any n_max: one block of
+# scratch, at most four arrays of _BLOCK points of 8 bytes (the tilted
+# draw's uniforms, bucket indices and gathered cdf entries with their
+# comparison), and the tilt pool (X, Y and cumulative weights of
+# _TILT_POOL entries) with its bucket table.  Every n_max-point
+# temporary the kernels once made is larger than this.
+ONE_BLOCK = 32 * _BLOCK + 8 * (3 * _TILT_POOL + _BUCKETS)
+PEAK_N_MAX = 100_000
+
+
+def _traced_peak(chunk, args):
+    """Peak traced bytes of one chunk of two replicas, after a warm call."""
+    chunk(args, 103, 0, 2)
+    tracemalloc.start()
+    try:
+        chunk(args, 103, 0, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_sum_chunk_holds_one_buffer():
+    peak = _traced_peak(_pair_sum_chunk, (0.4, PEAK_N_MAX))
+    assert peak <= 8 * PEAK_N_MAX + ONE_BLOCK, peak
+
+
+@pytest.mark.parametrize("spec", MARK_SPECS, ids=lambda s: s.family)
+def test_chunks_hold_their_buffers_and_one_block(spec):
+    n = PEAK_N_MAX
+    for statistic in STATISTICS:
+        # u and x, and y where the statistic reads marks
+        held = 3 if statistic == "mean_mark" else 2
+        peak = _traced_peak(_invariance_chunk, (0.6, n, statistic, spec))
+        assert peak <= 8 * n * held + ONE_BLOCK, (statistic, peak)
+    peak = _traced_peak(_corollary_chunk, (0.5, n, spec))
+    assert peak <= 8 * n * 3 + ONE_BLOCK, ("corollary", peak)
+    batch = 4096  # the batch corollary_moments passes
+    peak = _traced_peak(_mark_moment_chunk, (0.5, spec, batch))
+    assert peak <= 8 * batch * 2 + ONE_BLOCK, ("mark moments", peak)

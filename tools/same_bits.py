@@ -43,6 +43,14 @@ COMMANDS = [
                            "--statistic", "mean_mark", "--replicas", "100"]),
     ("pd lognormal", "1", ["pd", "--m", "[0.4]", "--mark-family", "lognormal",
                            "--statistic", "pair_sum", "--replicas", "100"]),
+    # with the two rows above, every mark family and statistic branch of
+    # the point-process kernels
+    ("pd lognormal mean_mark", "1", ["pd", "--m", "[0.5]", "--mark-family", "lognormal",
+                                     "--statistic", "mean_mark", "--replicas", "100"]),
+    ("pd two_point max_weight", "1", ["pd", "--m", "[0.3]", "--mark-family", "two_point",
+                                      "--statistic", "max_weight", "--replicas", "100"]),
+    ("pd constant pair_sum", "1", ["pd", "--m", "[0.7]", "--mark-family", "constant",
+                                   "--statistic", "pair_sum", "--replicas", "100"]),
     ("cascade --b 200", "1", ["cascade", "--m", "[0.4, 0.8]", "--q", "[0.3, 0.6]",
                               "--b", "200", "--replicas", "60"]),
     ("bound", "1", ["bound", "--mixture", "[[2, 0.42]]", "--m", "[0.5, 1.0]",
