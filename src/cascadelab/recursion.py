@@ -6,18 +6,16 @@ One operator drives this module:
 
 with the m = 0 limit a plain expectation and m = 1 a log-mean-exp.
 Applying it level by level from g(x) = log 2 cosh(x + h) gives the
-decoupled per-site value phi(0), computed either as the level chain on a
-tensor grid of the k+1 Gaussian columns or, on grids too large for that,
-on a tabulated function of x; combining phi(0) with the theta terms
-gives the k-step upper bound on the free energy; differentiating the
-same chain gives the change-of-density weights W_l whose products define
-the tilted two-replica averages, evaluated here by tensor-product
-Gauss-Hermite quadrature, and the bound's gradient in (m, q), on which
-the optimizer searches with the package's own L-BFGS (``lbfgs``).
+decoupled per-site value phi(0), computed as the level chain on a
+tensor grid of the k+1 Gaussian columns; combining phi(0) with the
+theta terms gives the k-step upper bound on the free energy;
+differentiating the same chain gives the change-of-density weights W_l
+whose products define the tilted two-replica averages, evaluated here by
+tensor-product Gauss-Hermite quadrature, and the bound's gradient in
+(m, q), on which the optimizer searches with the package's own L-BFGS
+(``lbfgs``).
 
 All quadrature is deterministic; Monte Carlo never enters this module.
-scipy enters it only through the spline route of phi(0), whose
-``TabulatedFunction`` imports ``scipy.interpolate`` when first built.
 """
 
 from __future__ import annotations
@@ -40,15 +38,13 @@ from .mixture import (
 from .sk_model import monomial_signs, monomial_variances, spin_matrix
 
 TENSOR_BUDGET = 10**7
-# Largest Gauss-Hermite grid, nodes**(k+1) points, on which phi0 contracts
-# the level chain directly; larger grids take the spline recursion.  Over
-# two timing runs on a 2-core Xeon the routes cost the same at k = 3
-# between 28 and 30 nodes (610,000-810,000 points): 12-19 ms against
-# 17-20 ms at 28 nodes, 23-40 ms against 18-23 ms at 31-32.  Within the
-# budget at k <= 2 the tensor route is 4-250x faster.
-PHI0_TENSOR_BUDGET = 800_000
-GRID_DX = 0.02
-GRID_PAD = 6.0
+# The optimizer searches on the largest node count whose full grid,
+# nodes**(k+1) points, fits this budget: 29 nodes at k = 3.  There one
+# ``bound_and_gradient`` call took 24-35 ms on a 2-core Xeon VM, against
+# 80-128 ms at 40 nodes, and a search at 40 nodes would move the optima.
+SEARCH_GRID_BUDGET = 800_000
+# Points per block of root nodes (see ``_root_blocks``).
+_ROOT_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -82,38 +78,6 @@ def log2cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
-class TabulatedFunction:
-    """A function tabulated on a uniform grid.
-
-    Inside the grid: cubic spline.  Outside: linear continuation with the
-    boundary slope, which is exact in the tails for the level functions
-    of the recursion (they approach slope +-1 linear asymptotes).
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        # Imported here, so that only the spline route loads scipy.interpolate.
-        from scipy.interpolate import CubicSpline
-
-        self.x = x
-        self.y = y
-        self._spline = CubicSpline(x, y)
-        d = self._spline.derivative()
-        self._lo, self._hi = x[0], x[-1]
-        self._slope_lo = float(d(self._lo))
-        self._slope_hi = float(d(self._hi))
-        self._y_lo = float(y[0])
-        self._y_hi = float(y[-1])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = self._spline(np.clip(x, self._lo, self._hi))
-        above = x > self._hi
-        below = x < self._lo
-        out = np.where(above, self._y_hi + self._slope_hi * (x - self._hi), inside)
-        out = np.where(below, self._y_lo + self._slope_lo * (x - self._lo), out)
-        return out if out.ndim else float(out)
-
-
 @dataclass
 class RecursionResult:
     phi0: float
@@ -121,79 +85,34 @@ class RecursionResult:
     doubling_diff: float
 
 
-def smoothing_step(
-    g, m: float, variance: float, quad: QuadratureSpec
-) -> TabulatedFunction:
-    """Apply S_{m, variance} to a tabulated function on its own grid."""
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"smoothing exponent m = {m} outside [0, 1]")
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    if variance == 0.0:
-        return TabulatedFunction(g.x, np.array(g.y, copy=True))
-    z, w = gauss_hermite(quad.nodes_per_level)
-    vals = g(g.x[:, None] + math.sqrt(variance) * z[None, :])
-    if m == 0.0:
-        y = vals @ w
-    else:
-        a = m * vals
-        amax = a.max(axis=1)
-        y = amax + np.log(np.exp(a - amax[:, None]) @ w)
-        y /= m
-    return TabulatedFunction(g.x, y)
+def _level_scales(rsb: RSBParams, mix: MixtureFunction) -> np.ndarray:
+    """s_l = sqrt(v_l), the standard deviation of the level-l column, l = 0..k."""
+    return np.sqrt(np.maximum(rsb.variances(mix), 0.0))
 
 
-def _grid_for(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
-    v = np.maximum(rsb.variances(mix), 0.0)
-    z, _ = gauss_hermite(nodes)
-    tmax = float(np.abs(z).max())
-    reach = float(np.sqrt(v).sum()) * tmax
-    half = abs(h) + reach + GRID_PAD
-    n = 2 * int(math.ceil(half / GRID_DX)) + 1
-    return np.linspace(-half, half, n), v
+def _phi0_chain(rsb: RSBParams, s: np.ndarray, h: float, nodes: int, read=None) -> float:
+    """phi(0) from the level chain on a (k+1)-axis grid.
 
-
-def _phi0_chain(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
-    """The level chain on a (k+1)-axis grid: (s, field, [X_0, ..., X_k], phi(0)).
-
-    Axis l carries the level-l column s_l z_l with s_l = sqrt(v_l), so
+    Axis l carries the level-l column s_l z_l (``_level_scales``), so
     X_k = log 2cosh(field) with field = h + sum_l s_l z_l; ``_chain``
     contracts axes k..1 with m_k..m_1 and axis 0 takes a plain
-    Gauss-Hermite mean of X_0.
+    Gauss-Hermite mean of X_0.  No level contracts axis 0, so the chain
+    runs on one block of root nodes at a time (``_root_blocks``), and
+    ``read(block, field, [X_0, ..., X_k])``, if given, sees each block.
     """
-    ndim = rsb.k + 1
-    s = np.sqrt(np.maximum(rsb.variances(mix), 0.0))
-    z, w = gauss_hermite(nodes)
-    field = h
-    for level in range(ndim):
-        field = field + _column(float(s[level]), z, ndim, level)
-    level_axes = {level: [level] for level in range(1, ndim)}
-    xs = _chain(log2cosh(field), rsb.m, level_axes, w, ndim)
-    return s, field, xs, float(_weighted_sum(xs[0], [0], w, ndim).squeeze())
-
-
-def _phi0_tensor(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
-    """phi(0) as the root X_0 of the level chain on a (k+1)-axis grid."""
-    return _phi0_chain(rsb, mix, h, nodes)[3]
-
-
-def _phi0_once(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int):
-    quad = QuadratureSpec(nodes_per_level=nodes, convergence_check=False)
-    x, v = _grid_for(rsb, mix, h, nodes)
-    g = TabulatedFunction(x, log2cosh(x + h))
-    for level in range(rsb.k, 0, -1):
-        g = smoothing_step(g, rsb.m[level], float(v[level]), quad)
-    if v[0] == 0.0:
-        return float(g(0.0))
-    z, w = gauss_hermite(nodes)
-    return float(g(math.sqrt(float(v[0])) * z) @ w)
-
-
-def _phi0_value(rsb: RSBParams, mix: MixtureFunction, h: float, nodes: int) -> float:
-    """phi(0) at one node count, by the route its grid size selects."""
-    if nodes ** (rsb.k + 1) <= PHI0_TENSOR_BUDGET:
-        return _phi0_tensor(rsb, mix, h, nodes)
-    return _phi0_once(rsb, mix, h, nodes)
+    k = rsb.k
+    z, w = _grid_nodes(nodes, k)
+    level_axes = {level: [level] for level in range(1, k + 1)}
+    x0 = np.empty(_axis_shape(k + 1, 0, nodes))
+    for block in _root_blocks(nodes, nodes**k):
+        field = h + _column(float(s[0]), z[block], k + 1, 0)
+        for level in range(1, k + 1):
+            field = field + _column(float(s[level]), z, k + 1, level)
+        xs = _chain(log2cosh(field), rsb.m, level_axes, w, k + 1)
+        x0[block] = xs[0]
+        if read is not None:
+            read(block, field, xs)
+    return float(_weighted_sum(x0, [0], w, k + 1).squeeze())
 
 
 def phi0(
@@ -204,14 +123,19 @@ def phi0(
     Starts from log 2 cosh(x + h), smooths through levels k down to 1
     with variances xi'(q_{l+1}) - xi'(q_l), and closes with a plain
     Gaussian expectation of variance xi'(q_1).  m_k = 1 is legal here.
-    Grids of at most ``PHI0_TENSOR_BUDGET`` points contract the level
-    chain on the full tensor grid; larger ones take the spline recursion.
+    A node count whose one-root-node grid, nodes**k points, exceeds
+    ``TENSOR_BUDGET`` is refused, at the doubled count of the
+    convergence check too, before any grid is built.
     """
-    val = _phi0_value(rsb, mix, h, quad.nodes_per_level)
+    nodes = quad.nodes_per_level
+    if quad.convergence_check:
+        _grid_nodes(2 * nodes, rsb.k)  # refused here, before the first chain runs
+    s = _level_scales(rsb, mix)
+    val = _phi0_chain(rsb, s, h, nodes)
     diff = 0.0
     converged = True
     if quad.convergence_check:
-        val2 = _phi0_value(rsb, mix, h, 2 * quad.nodes_per_level)
+        val2 = _phi0_chain(rsb, s, h, 2 * nodes)
         diff = abs(val2 - val)
         converged = diff < 1e-7
     return RecursionResult(
@@ -245,7 +169,8 @@ def guerra_bound(
     One phi(0) evaluation; ``quad.convergence_check`` is not run here
     (``phi0`` runs and reports it).
     """
-    return bound_from_phi0(rsb, mix, _phi0_value(rsb, mix, h, quad.nodes_per_level))
+    phi = _phi0_chain(rsb, _level_scales(rsb, mix), h, quad.nodes_per_level)
+    return bound_from_phi0(rsb, mix, phi)
 
 
 def bound_and_gradient(
@@ -253,8 +178,9 @@ def bound_and_gradient(
 ):
     """The bound and its gradient in (m_1..m_{k-1}, q_1..q_k).
 
-    Both come from one tensor level chain, which ``guerra_bound`` also
-    takes within ``PHI0_TENSOR_BUDGET``, so the value is its to the bit.
+    Both come from the one level chain of ``guerra_bound``, so the value
+    is its to the bit, and the same node counts are refused.  The grid
+    sums below are taken per block of root nodes and added in block order.
     With s_l = sqrt(v_l) and the chain weights W_l:
 
     - dphi/ds_l = E[prod W tanh(field) z_l];
@@ -268,26 +194,32 @@ def bound_and_gradient(
     """
     k, nodes = rsb.k, quad.nodes_per_level
     ndim = k + 1
-    if nodes**ndim > PHI0_TENSOR_BUDGET:
-        raise ValueError(
-            f"gradient grid {nodes}^{ndim} exceeds PHI0_TENSOR_BUDGET = {PHI0_TENSOR_BUDGET}"
+    z, w = _grid_nodes(nodes, k)
+    sums = []  # per root block: the grid sums of dphi/ds_0..s_k, then of dphi/dm_1..m_{k-1}
+
+    def read(block, field, xs):
+        axis_z, axis_w = [z[block]] + [z] * k, [w[block]] + [w] * k
+        # tilts[j]: the block's Gauss-Hermite weights times W_1..W_j
+        grid_w = functools.reduce(
+            np.multiply,
+            [wa.reshape(_axis_shape(ndim, axis, wa.size)) for axis, wa in enumerate(axis_w)],
         )
-    z, w = gauss_hermite(nodes)
-    s, field, xs, phi = _phi0_chain(rsb, mix, h, nodes)
-    # tilts[j]: the Gauss-Hermite weights of the full grid times W_1..W_j
-    grid_w = functools.reduce(
-        np.multiply, [w.reshape(_axis_shape(ndim, axis, nodes)) for axis in range(ndim)]
-    )
-    tilts = list(itertools.accumulate(_chain_weights(xs, rsb.m), np.multiply, initial=grid_w))
-    slope = np.tanh(field) * tilts[-1]
-    d_s = np.array([np.sum(slope * _column(1.0, z, ndim, level)) for level in range(ndim)])
-    d_v = np.divide(d_s, 2.0 * s, out=np.zeros_like(d_s), where=s > 0.0)
+        tilts = list(itertools.accumulate(_chain_weights(xs, rsb.m), np.multiply, initial=grid_w))
+        slope = np.tanh(field) * tilts[-1]
+        d_s = [np.sum(slope * _column(1.0, za, ndim, level)) for level, za in enumerate(axis_z)]
+        d_m = [np.sum(tilts[j] * (xs[j] - xs[j - 1])) for j in range(1, k)]
+        sums.append(np.array(d_s + d_m))
+
+    s = _level_scales(rsb, mix)
+    phi = _phi0_chain(rsb, s, h, nodes, read)
+    # summed in block order: one block keeps the bits of the whole-grid sums
+    total = functools.reduce(np.add, sums)
+    d_v = np.divide(total[:ndim], 2.0 * s, out=np.zeros(ndim), where=s > 0.0)
     m, q = np.asarray(rsb.m), np.asarray(rsb.q_interior)
     d_q = mix.xi_second(q) * (d_v[:-1] - d_v[1:] + 0.5 * (m[1:] - m[:-1]) * q)
     theta_q = q * mix.xi_prime(q) - mix.xi(q)
     d_m = [
-        np.sum(tilts[j] * (xs[j] - xs[j - 1])) / m[j] + 0.5 * (theta_q[j - 1] - theta_q[j])
-        for j in range(1, k)
+        total[ndim + j - 1] / m[j] + 0.5 * (theta_q[j - 1] - theta_q[j]) for j in range(1, k)
     ]
     return bound_from_phi0(rsb, mix, phi), np.concatenate([d_m, d_q])
 
@@ -350,8 +282,8 @@ def _vector_gradient(grad: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
 
 
 def _search_nodes(nodes: int, k: int) -> int:
-    """The largest count up to ``nodes`` whose tensor grid fits the budget."""
-    while nodes ** (k + 1) > PHI0_TENSOR_BUDGET:
+    """The largest count up to ``nodes`` whose full grid fits ``SEARCH_GRID_BUDGET``."""
+    while nodes ** (k + 1) > SEARCH_GRID_BUDGET:
         nodes -= 1
     return nodes
 
@@ -411,7 +343,7 @@ def optimize_bound(
     restart to stop by these rules and phi(0)'s convergence check, if
     ``quad`` asks for one, to pass.  The search runs on the tensor
     grid at ``quad``'s node count, or at the largest count whose grid
-    fits ``PHI0_TENSOR_BUDGET`` when that one does not.  phi(0) and the
+    fits ``SEARCH_GRID_BUDGET`` when that one does not.  phi(0) and the
     bound at the optimum, and the convergence check when ``quad`` asks
     for one, come from ``phi0`` at ``quad``'s count, once, after the
     search.  ``stationarity`` is max |dB| over (m_1..m_{k-1}, q_1..q_k)
@@ -499,8 +431,14 @@ def _tilted_mean(integrand, weights, w, ndim: int, axes) -> float:
     return float(_weighted_sum(out, axes, w, ndim).squeeze())
 
 
-def _lse_contract(arr, m, axes, weights, ndim):
-    """(1/m) log sum w exp(m arr) over the given axes, keeping dims."""
+def smoothing_step(arr, m, axes, weights, ndim):
+    """S_{m,v} on a tensor grid: (1/m) log sum w exp(m arr) over ``axes``.
+
+    The Gaussian column of variance v lies along ``axes``, so the
+    Gauss-Hermite sum over them is the expectation over z.  Dims are kept.
+    """
+    if not 0.0 < m <= 1.0:
+        raise ValueError(f"smoothing exponent m = {m} outside (0, 1]")
     a = m * arr
     amax = a.max(axis=tuple(axes), keepdims=True)
     a -= amax
@@ -519,7 +457,7 @@ def _chain(x, m, level_axes, w, ndim):
     for level in range(len(level_axes), 0, -1):
         axes = level_axes[level]
         if axes:
-            xs.append(_lse_contract(xs[-1], m[level], axes, w, ndim))
+            xs.append(smoothing_step(xs[-1], m[level], axes, w, ndim))
         else:
             xs.append(xs[-1])
     return xs[::-1]
@@ -533,12 +471,26 @@ def _chain_weights(xs, m):
     return out
 
 
-def _grid_nodes(quad: QuadratureSpec, ndim: int):
-    """Gauss-Hermite nodes and weights for a tensor grid of ndim axes."""
-    n = quad.nodes_per_level
+def _grid_nodes(n: int, ndim: int):
+    """Gauss-Hermite nodes and weights for a tensor grid of ndim axes.
+
+    A grid of more than ``TENSOR_BUDGET`` points is refused.
+    """
     if n**ndim > TENSOR_BUDGET:
-        raise ValueError(f"tensor grid {n}^{ndim} exceeds the {TENSOR_BUDGET:.0e} budget")
+        raise ValueError(
+            f"tensor grid {n}^{ndim} exceeds the budget, TENSOR_BUDGET = {TENSOR_BUDGET:.0e} points"
+        )
     return gauss_hermite(n)
+
+
+def _root_blocks(nodes: int, points: int):
+    """Slices of the root axis, each a block of whole root nodes.
+
+    ``points`` is the grid size of one root node; a block holds
+    max(1, _ROOT_BLOCK // points) nodes, the last one fewer.
+    """
+    step = max(1, _ROOT_BLOCK // points)
+    return [slice(start, start + step) for start in range(0, nodes, step)]
 
 
 def _path_grid(x_fn: PathFunctional, tau, z, ndim: int, mark_axes):
@@ -567,7 +519,7 @@ def mark_chain_root(
     cascade's log-partition identity.
     """
     k = rsb.k
-    z, w = _grid_nodes(quad, k)
+    z, w = _grid_nodes(quad.nodes_per_level, k)
     _, x, level_axes = _path_grid(x_fn, tau, z, k, range(k))
     return float(_chain(x, rsb.m, level_axes, w, k)[0].squeeze())
 
@@ -581,7 +533,7 @@ def mark_chain_tilted(
 ) -> float:
     """E prod_l W_l Y along one path, by full tensor contraction."""
     k = rsb.k
-    z, w = _grid_nodes(quad, k)
+    z, w = _grid_nodes(quad.nodes_per_level, k)
     marks, x, level_axes = _path_grid(x_fn, tau, z, k, range(k))
     ws = _chain_weights(_chain(x, rsb.m, level_axes, w, k), rsb.m)
     return _tilted_mean(np.asarray(y_fn(marks), dtype=float), ws, w, k, range(k))
@@ -607,7 +559,7 @@ def mark_chain_restricted(
     k = rsb.k
     if not 1 <= r <= k:
         raise ValueError(f"r = {r} outside 1..{k}")
-    z, w = _grid_nodes(quad, k)
+    z, w = _grid_nodes(quad.nodes_per_level, k)
     marks, x, level_axes = _path_grid(x_fn, tau, z, k, range(k))
     ws = _chain_weights(_chain(x, rsb.m, level_axes, w, k), rsb.m)
     private = range(r - 1, k)
@@ -653,8 +605,8 @@ def mu_r_quadrature(
     Each copy's arrays live on that copy's axes.  The product form
     contracts each copy's private columns first and meets the other copy
     on the shared axes alone; the V-form chain is joint, as the second
-    route must be, and visits the full grid one root node at a time, so
-    the tensor budget still guards the full grid.
+    route must be, and visits the full grid in blocks of root nodes
+    (``_root_blocks``), so the tensor budget still guards the full grid.
     """
     if not 1 <= N <= 2:
         raise ValueError("the coupled quadrature supports N in {1, 2}")
@@ -686,7 +638,7 @@ def mu_r_quadrature(
     ndim = len(z_axes) + len(masks)
     if ndim == 0:
         raise ValueError("degenerate configuration: no active randomness")
-    z, w = _grid_nodes(quad, ndim)
+    z, w = _grid_nodes(quad.nodes_per_level, ndim)
     sigmas = spin_matrix(N)
     signs = monomial_signs(N, masks)
 
@@ -748,30 +700,28 @@ def mu_r_quadrature(
 
     # The V-form: one chain of X^a_k + X^b_k with exponents halved below r,
     # on the joint grid.  No level contracts the root column, so the grid is
-    # visited one node of axis 0 (its first site) at a time; without a root
-    # column in the fields, in one pass.
+    # visited in blocks of root nodes of axis 0 (its first site); without a
+    # root column in the fields, in one pass.
     halved = rsb.halved_below(r).m
     joint = {
         level: sorted(set(copy_axes[0][level]) | set(copy_axes[1][level]))
         for level in range(1, k + 1)
     }
     split = 0 in cols and t < 1.0
-    nodes = [(slice(i, i + 1), wi) for i, wi in enumerate(w)] if split else [(slice(None), 1.0)]
+    blocks = _root_blocks(z.size, z.size ** (ndim - 1)) if split else [slice(None)]
+    root_w = w if split else np.ones(1)
     rest = range(1 if split else 0, ndim)
-
-    def at(arr, index):
-        # an array constant along axis 0 is the same at every node
-        return arr[index] if arr.shape[0] > 1 else arr
-
     value_v_form = chain_max_diff = 0.0
-    for index, weight in nodes:
-        x_joint = at(xk[0], index) + at(xk[1], index)
-        vs = _chain_weights(_chain(x_joint, halved, joint, w, ndim), halved)
+    for block in blocks:
+        vs = _chain_weights(_chain(xk[0][block] + xk[1][block], halved, joint, w, ndim), halved)
         for level, (vl, wa, wb) in enumerate(zip(vs, ws[0], ws[1]), start=1):
-            factor = at(wa, index) * at(wb, index) if level >= r else at(wa, index)
+            factor = wa[block] * wb[block] if level >= r else wa[block]
             chain_max_diff = max(chain_max_diff, float(np.abs(vl - factor).max()))
-        fbar = _pair_mean(values, [[at(p, index) for p in probs[copy]] for copy in (0, 1)])
-        value_v_form += float(weight) * _tilted_mean(fbar, vs, w, ndim, rest)
+        fbar = _pair_mean(values, [[p[block] for p in probs[copy]] for copy in (0, 1)])
+        means = _weighted_sum(functools.reduce(np.multiply, vs, fbar), rest, w, ndim)
+        # added node by node in root order: the same bits for any block size
+        for weight, mean in zip(root_w[block], means.ravel()):
+            value_v_form += float(weight) * float(mean)
     return MuQuadResult(
         value=value,
         value_v_form=value_v_form,
@@ -784,8 +734,8 @@ def _pair_mean(values, probs) -> np.ndarray:
 
     Each p is an array on its own copy's axes, so the sum spans the axes
     the two copies span together: the shared axes alone when each copy's
-    private axes are already contracted, one node's slice of the joint
-    grid in the V-form.
+    private axes are already contracted, one block of root nodes of the
+    joint grid in the V-form.
     """
     fbar = np.zeros(np.broadcast_shapes(probs[0][0].shape, probs[1][0].shape))
     for row, p1 in zip(values, probs[0]):

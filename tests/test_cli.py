@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cascadelab
-from cascadelab import cli, interpolation
+from cascadelab import cli, interpolation, recursion
 from cascadelab.cli import (
     ConfigError,
     child_seed,
@@ -614,6 +614,18 @@ def test_derivative_at_an_end_time_exits_two(monkeypatch, capsys):
     assert captured.out == "" and "t = 1.0 outside (0, 1)" in captured.err
 
 
+def test_bound_over_the_grid_budget_exits_two_before_any_grid(monkeypatch, capsys):
+    # k = 3: the convergence check's one-root-node grid is 216^3 > 10^7 points
+    def not_reached(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(recursion, "_root_blocks", not_reached)
+    argv = ["bound", "--m", "[0.3, 0.6, 1.0]", "--q", "[0.2, 0.5, 0.8]", "--nodes", "108"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "TENSOR_BUDGET" in captured.err
+
+
 def test_whole_float_scan_count_is_accepted():
     assert resolve_config("bound", {}, {"scan_q1": [0.1, 0.5, 40.0]}).scan_q1 == [0.1, 0.5, 40]
     assert resolve_config("bound", {}, {"scan_q1": [0.1, 0.5, 40]}).scan_q1 == [0.1, 0.5, 40]
@@ -621,7 +633,7 @@ def test_whole_float_scan_count_is_accepted():
 
 # Run in a fresh interpreter: the test modules import scipy themselves.
 _IMPORT_PROBE = """
-import builtins, contextlib, io, sys
+import contextlib, io, sys
 from cascadelab import cli, recursion
 from cascadelab.mixture import sk_mixture
 from cascadelab.sk_model import verify_bound
@@ -637,9 +649,12 @@ for argv in (
     ["pd", "--m", "[0.6]", "--n-max", "100", "--replicas", "100"],
     ["cascade", "--m", "[0.5]", "--q", "[0.5]", "--b", "10", "--replicas", "20"],
     ["bound", "--m", "[1.0]", "--q", "[0.5]", "--nodes", "16"],
+    # k = 3 at 40 nodes, with its convergence check at 80
+    ["bound", "--m", "[0.3, 0.6, 1.0]", "--q", "[0.2, 0.5, 0.8]", "--nodes", "40"],
     ["interpolate", "--check", "phi", "--N", "2", "--b", "10", "--replicas", "10"],
     ["sk-exact", "--N", "4", "--replicas", "10"],
     ["optimize", "--k", "1", "--nodes", "12"],
+    ["optimize", "--k", "3", "--nodes", "12"],
     ["sk-exact", "--N", "4", "--replicas", "10", "--k", "1"],
 ):
     run(argv)
@@ -647,28 +662,11 @@ for argv in (
 verify_bound(6, sk_mixture(1.2), 0.3, 200, recursion.QuadratureSpec(), seed=1, optimize_k=1)
 assert not loaded("scipy"), loaded("scipy")[:5]
 assert not loaded("concurrent.futures.process")
-
-# The spline route of phi(0): k = 3 at 40 nodes is 40**4 points, over the budget.
-# scipy.interpolate loads scipy.optimize itself, so what is checked is the
-# set of scipy modules that cascadelab's own import statements ask for.
-assert 40**4 > recursion.PHI0_TENSOR_BUDGET
-asked = set()
-plain_import = builtins.__import__
-
-def recording_import(name, globals=None, locals=None, fromlist=(), level=0):
-    if (globals or {}).get("__name__", "").startswith("cascadelab") and name.startswith("scipy"):
-        asked.add(name)
-    return plain_import(name, globals, locals, fromlist, level)
-
-builtins.__import__ = recording_import
-run(["bound", "--m", "[0.3, 0.6, 1.0]", "--q", "[0.2, 0.5, 0.8]", "--nodes", "40"])
-builtins.__import__ = plain_import
-assert asked == {"scipy.interpolate"}, asked
-assert loaded("scipy.interpolate")
 """
 
 
 def test_scipy_loads_only_where_it_is_called():
+    # scipy is a test oracle only: no command loads it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(

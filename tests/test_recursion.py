@@ -18,14 +18,11 @@ from cascadelab.functionals import (
 from cascadelab.interpolation import build_coupled_system
 from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
 from cascadelab.recursion import (
-    PHI0_TENSOR_BUDGET,
+    SEARCH_GRID_BUDGET,
     QuadratureSpec,
-    TabulatedFunction,
     _chain,
     _chain_weights,
-    _lse_contract,
-    _phi0_once,
-    _phi0_tensor,
+    _phi0_chain,
     bound_and_gradient,
     bound_from_phi0,
     gauss_hermite,
@@ -49,57 +46,57 @@ LOG2COSH_HALF = math.log(2.0 * math.cosh(0.5))
 RS_BOUND_B06 = math.log(2.0) + 0.36 / 4.0
 
 
-def _grid_fn(fn, lo=-4.0, hi=4.0, n=201):
-    x = np.linspace(lo, hi, n)
-    return TabulatedFunction(x, fn(x))
+# S_{m,v} on one Gauss-Hermite axis: axis 0 carries x, and axis 1 the
+# column sqrt(v) z that ``smoothing_step`` contracts.
+X_GRID = np.linspace(-3.0, 3.0, 61)
+
+
+def _smoothed(fn, m, v):
+    z, w = gauss_hermite(40)
+    arr = fn(X_GRID[:, None] + math.sqrt(v) * z[None, :])
+    return smoothing_step(arr, m, [1], w, 2)[:, 0]
 
 
 def test_smoothing_zero_variance_is_identity():
-    g = _grid_fn(np.tanh)
-    out = smoothing_step(g, 0.5, 0.0, QUAD)
-    assert np.array_equal(out.y, g.y)
+    # a zero-variance column: X is constant along the contracted axis
+    for m in (0.5, 1.0):
+        assert _smoothed(np.tanh, m, 0.0) == pytest.approx(np.tanh(X_GRID), abs=1e-15)
 
 
 def test_smoothing_linear_closed_form():
     # g(x) = x: (1/m) log E exp(m (x + z)) = x + m v / 2
-    g = _grid_fn(lambda x: x)
     for m in (0.25, 0.5, 1.0):
-        out = smoothing_step(g, m, 0.49, QUAD)
-        assert out.y == pytest.approx(g.x + m * 0.49 / 2.0, abs=1e-9)
+        out = _smoothed(lambda x: x, m, 0.49)
+        assert out == pytest.approx(X_GRID + m * 0.49 / 2.0, abs=1e-13)
 
 
 def test_smoothing_logcosh_closed_form():
     # m = 1: log E 2cosh(x + z) = log 2cosh(x) + v/2; check at x = 0
-    g = _grid_fn(lambda x: np.log(2.0 * np.cosh(x)))
     v = 0.36
-    out = smoothing_step(g, 1.0, v, QUAD)
-    mid = len(g.x) // 2
-    assert g.x[mid] == 0.0
-    assert out.y[mid] == pytest.approx(math.log(2.0) + v / 2.0, abs=1e-7)
+    out = _smoothed(lambda x: np.log(2.0 * np.cosh(x)), 1.0, v)
+    mid = len(X_GRID) // 2
+    assert X_GRID[mid] == 0.0
+    assert out[mid] == pytest.approx(math.log(2.0) + v / 2.0, abs=1e-14)
 
 
 def test_smoothing_m_zero_is_plain_mean():
-    g = _grid_fn(lambda x: x**2)
-    out = smoothing_step(g, 0.0, 0.25, QUAD)
-    # E (x + z)^2 = x^2 + v; compare well inside the grid, where the
-    # linear continuation beyond the tabulated range carries no weight
-    inner = np.abs(g.x) <= 1.5
-    assert out.y[inner] == pytest.approx(g.x[inner] ** 2 + 0.25, abs=1e-7)
+    # the m -> 0 limit: E (x + z)^2 = x^2 + v, off by about (m/2) Var g
+    # (5e-9 here) plus the rounding of a log near 1 divided by m (2e-7)
+    out = _smoothed(lambda x: x**2, 1e-9, 0.25)
+    assert out == pytest.approx(X_GRID**2 + 0.25, abs=1e-6)
 
 
 def test_smoothing_monotone_in_m():
-    g = _grid_fn(lambda x: np.log(2.0 * np.cosh(x)))
-    lo = smoothing_step(g, 0.0, 0.3, QUAD)
-    mid = smoothing_step(g, 0.5, 0.3, QUAD)
-    hi = smoothing_step(g, 1.0, 0.3, QUAD)
-    assert np.all(mid.y - lo.y >= -1e-10)
-    assert np.all(hi.y - mid.y >= -1e-10)
+    lo, mid, hi = (_smoothed(lambda x: np.log(2.0 * np.cosh(x)), m, 0.3) for m in (0.1, 0.5, 1.0))
+    assert np.all(mid - lo >= -1e-14)
+    assert np.all(hi - mid >= -1e-14)
+    assert np.all(hi - lo > 0.0)
 
 
 def test_smoothing_rejects_bad_m():
-    g = _grid_fn(np.tanh)
-    with pytest.raises(ValueError):
-        smoothing_step(g, 1.2, 0.1, QUAD)
+    for m in (1.2, 0.0, -0.1):
+        with pytest.raises(ValueError, match="outside"):
+            _smoothed(np.tanh, m, 0.1)
 
 
 def test_phi0_degenerate_is_log2cosh():
@@ -259,7 +256,7 @@ def _oracle_mark_chain(x, m, level_axes, w, ndim):
     k = len(level_axes)
     xs = {k: x}
     for level in range(k, 0, -1):
-        xs[level - 1] = _lse_contract(xs[level], m[level], level_axes[level], w, ndim)
+        xs[level - 1] = smoothing_step(xs[level], m[level], level_axes[level], w, ndim)
     ws = [np.exp(m[level] * (xs[level] - xs[level - 1])) for level in range(1, k + 1)]
     return [xs[level] for level in range(k + 1)], ws
 
@@ -269,7 +266,7 @@ def _oracle_copy_chain(x, m, level_axes, w, ndim):
     chain = {k: x}
     for level in range(k, 0, -1):
         if level_axes[level]:
-            chain[level - 1] = _lse_contract(
+            chain[level - 1] = smoothing_step(
                 chain[level], m[level], level_axes[level], w, ndim
             )
         else:
@@ -370,8 +367,10 @@ def test_restricted_paths_keep_to_their_own_axes(r, shapes, monkeypatch):
 @pytest.mark.parametrize("N, k, r", [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 1, 1)])
 def test_pair_mean_matches_the_double_loop(f, N, k, r, monkeypatch):
     # Every Gibbs average of f over both copies (the product form's once,
-    # the V-form's once per root node), summed over copy 2 first, against
-    # the double loop that adds f p1 p2 pair by pair.
+    # the V-form's once per block of root nodes), summed over copy 2 first,
+    # against the double loop that adds f p1 p2 pair by pair.  At N = 1 the
+    # 8-node V-form grid is one block; at N = 2 one root node is 8^6 points,
+    # a block each.
     seen = []
     pair_mean = recursion._pair_mean
 
@@ -384,7 +383,7 @@ def test_pair_mean_matches_the_double_loop(f, N, k, r, monkeypatch):
     rsb = RSBParams.from_interior((0.4, 0.8)[:k], (0.3, 0.6)[:k])
     quad = QuadratureSpec(nodes_per_level=8, convergence_check=False)
     mu_r_quadrature(N, k, r, sk_mixture(0.6), rsb, 0.3, 0.5, f, quad)
-    assert len(seen) == 1 + quad.nodes_per_level
+    assert len(seen) == 1 + (1 if N == 1 else quad.nodes_per_level)
     for values, (p1, p2), fbar in seen:
         want = 0.0
         for row, a in zip(values, p1):
@@ -566,8 +565,8 @@ def test_pair_quadrature_never_forms_the_full_pair_grid():
     assert mu <= 4.0
 
 
-# phi(0) by its two routes: the level chain on the full (k+1)-axis tensor
-# grid, and the spline recursion that the grid budget falls back to.
+# phi(0) has one route: the level chain on the (k+1)-axis tensor grid,
+# visited in blocks of root nodes.
 
 ROUTE_MIXTURES = {
     "sk_beta1.5": sk_mixture(1.5),
@@ -595,16 +594,46 @@ class _LadderXiPrime:
         return self.values
 
 
+def _root_block_sizes(nodes, k):
+    """_ROOT_BLOCK values around one root node's grid, nodes**k points.
+
+    One node per block at points - 1, points and points + 1; then two
+    and five nodes, where 12 nodes leave a short last block.
+    """
+    points = nodes**k
+    return (points - 1, points, points + 1, 2 * points, 5 * points)
+
+
+def _blocked(monkeypatch, fn, nodes, k):
+    """fn() in one pass and under each of ``_root_block_sizes``."""
+    monkeypatch.setattr(recursion, "_ROOT_BLOCK", nodes ** (k + 1))
+    assert len(recursion._root_blocks(nodes, nodes**k)) == 1
+    one_pass = fn()
+    blocked = []
+    for size in _root_block_sizes(nodes, k):
+        monkeypatch.setattr(recursion, "_ROOT_BLOCK", size)
+        blocked.append(fn())
+    assert len(recursion._root_blocks(nodes, nodes**k)) == 3
+    return one_pass, blocked
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("h", [0.0, 0.3])
 @pytest.mark.parametrize("name", sorted(ROUTE_MIXTURES))
-def test_phi0_tensor_matches_spline_route(k, h, name):
+def test_phi0_blocks_match_one_pass(k, h, name, monkeypatch):
     rsb = RSBParams.from_interior(*ROUTE_LADDERS[k])
     mix = ROUTE_MIXTURES[name]
-    for nodes in (12, 24):
-        tensor = _phi0_tensor(rsb, mix, h, nodes)
-        spline = _phi0_once(rsb, mix, h, nodes)
-        assert abs(tensor - spline) <= 1e-9, (nodes, tensor, spline)
+    quad = QuadratureSpec(nodes_per_level=12, convergence_check=False)
+
+    def run():
+        return phi0(rsb, mix, h, quad).phi0, *bound_and_gradient(rsb, mix, h, quad)
+
+    one_pass, blocked = _blocked(monkeypatch, run, 12, k)
+    for phi, value, grad in blocked:
+        assert phi == one_pass[0]
+        assert value == one_pass[1]
+        # the gradient's grid sums add per block: equal to rounding
+        assert np.abs(grad - one_pass[2]).max() <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -617,18 +646,27 @@ def test_phi0_tensor_matches_spline_route(k, h, name):
     ],
 )
 @pytest.mark.parametrize("h", [0.0, 0.3])
-def test_phi0_routes_agree_with_zero_variance_levels(m, q, xi_prime, h):
+def test_phi0_blocks_match_one_pass_with_zero_variance_levels(m, q, xi_prime, h, monkeypatch):
     rsb = RSBParams.from_interior(m, q)
     mix = _LadderXiPrime(xi_prime)
     assert min(rsb.variances(mix)) == 0.0
-    tensor = _phi0_tensor(rsb, mix, h, 24)
-    spline = _phi0_once(rsb, mix, h, 24)
-    assert abs(tensor - spline) <= 1e-9, (tensor, spline)
+    quad = QuadratureSpec(nodes_per_level=12, convergence_check=False)
+    one_pass, blocked = _blocked(monkeypatch, lambda: phi0(rsb, mix, h, quad).phi0, 12, rsb.k)
+    assert blocked == [one_pass] * len(blocked)
+
+
+def test_phi0_holds_one_block_of_root_nodes():
+    # k = 3 at 40 nodes: one root node's grid is 64,000 points (0.5 MB an
+    # array), one node a block; one array on the full 40^4 grid is 20 MB.
+    rsb = RSBParams.from_interior(*ROUTE_LADDERS[3])
+    quad = QuadratureSpec(nodes_per_level=40, convergence_check=False)
+    assert 40**3 > recursion._ROOT_BLOCK // 2
+    assert _traced_peak_mib(lambda: phi0(rsb, sk_mixture(1.5), 0.3, quad)) <= 4.0
 
 
 def test_phi0_tensor_zero_variance_is_log2cosh():
     rsb = RSBParams.from_interior((0.4, 1.0), (0.3, 0.6))
-    value = _phi0_tensor(rsb, make_mixture([(2, 0.0)]), 0.5, 24)
+    value = phi0(rsb, make_mixture([(2, 0.0)]), 0.5, QUAD24).phi0
     assert value == pytest.approx(LOG2COSH_HALF, abs=1e-14)
 
 
@@ -642,46 +680,30 @@ def test_phi0_tensor_settles_by_60_nodes(k, h, name):
     m, q = ((1.0,), (0.3,)) if k == 1 else ROUTE_LADDERS[2]
     rsb = RSBParams.from_interior(m, q)
     mix = ROUTE_MIXTURES[name]
-    value = _phi0_tensor(rsb, mix, h, 60)
-    assert abs(_phi0_tensor(rsb, mix, h, 120) - value) < 1e-12
+    res = phi0(rsb, mix, h, QuadratureSpec(nodes_per_level=60))
+    assert res.doubling_diff < 1e-12
 
 
-def _count_routes(monkeypatch):
-    calls = {"tensor": [], "spline": []}
+def _count_chains(monkeypatch):
+    """The node counts of every phi(0) level chain run, in order."""
+    calls = []
 
-    def counted(route, fn):
-        def wrapper(rsb, mix, h, nodes):
-            calls[route].append(nodes)
-            return fn(rsb, mix, h, nodes)
+    def counted(rsb, s, h, nodes, read=None):
+        calls.append(nodes)
+        return _phi0_chain(rsb, s, h, nodes, read)
 
-        return wrapper
-
-    monkeypatch.setattr(recursion, "_phi0_tensor", counted("tensor", _phi0_tensor))
-    monkeypatch.setattr(recursion, "_phi0_once", counted("spline", _phi0_once))
+    monkeypatch.setattr(recursion, "_phi0_chain", counted)
     return calls
 
 
-@pytest.mark.parametrize(
-    "k, nodes, route",
-    [(1, 24, "tensor"), (2, 24, "tensor"), (3, 40, "spline")],
-)
-def test_phi0_route_follows_grid_budget(k, nodes, route, monkeypatch):
-    calls = _count_routes(monkeypatch)
-    rsb = RSBParams.from_interior(*ROUTE_LADDERS[k])
-    phi0(rsb, sk_mixture(1.5), 0.3, QuadratureSpec(nodes_per_level=nodes))
-    assert calls[route] == [nodes, 2 * nodes]
-    assert sum(len(v) for v in calls.values()) == 2
-    over = (2 * nodes) ** (k + 1) > PHI0_TENSOR_BUDGET
-    assert over == (route == "spline")
-
-
 def test_guerra_bound_is_one_phi0_evaluation(monkeypatch):
-    calls = _count_routes(monkeypatch)
+    calls = _count_chains(monkeypatch)
     rsb = RSBParams.from_interior((0.4, 1.0), (0.3, 0.6))
     mix = sk_mixture(1.5)
     value = guerra_bound(rsb, mix, 0.3, QUAD)
-    assert calls == {"tensor": [40], "spline": []}
+    assert calls == [40]
     assert value == bound_from_phi0(rsb, mix, phi0(rsb, mix, 0.3, QUAD).phi0)
+    assert calls == [40, 40, 80]
 
 
 def test_optimum_carries_its_phi0():
@@ -732,10 +754,15 @@ def test_bound_gradient_matches_central_differences(mix, h, k):
     assert np.abs(grad - _central_differences(rsb, mix, h, quad)).max() < 5e-9
 
 
-def test_bound_gradient_refuses_grids_over_the_budget():
+def test_bound_gradient_refuses_grids_over_the_budget(monkeypatch):
+    # one root node's grid at k = 3 is nodes^3 points: 216^3 > 10^7
+    def not_reached(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(recursion, "_root_blocks", not_reached)
     rsb = RSBParams.from_interior(*GRADIENT_LADDERS[3])
-    with pytest.raises(ValueError, match="PHI0_TENSOR_BUDGET"):
-        bound_and_gradient(rsb, sk_mixture(1.5), 0.0, QuadratureSpec(nodes_per_level=30))
+    with pytest.raises(ValueError, match="TENSOR_BUDGET"):
+        bound_and_gradient(rsb, sk_mixture(1.5), 0.0, QuadratureSpec(nodes_per_level=216))
 
 
 def test_zero_mixture_optimizes_to_log2_at_once():
@@ -751,7 +778,9 @@ def test_zero_mixture_optimizes_to_log2_at_once():
 
 
 def test_search_runs_at_the_largest_count_within_the_budget(monkeypatch):
-    monkeypatch.setattr(recursion, "PHI0_TENSOR_BUDGET", 12**3 - 1)
+    assert 29**4 <= SEARCH_GRID_BUDGET < 30**4
+    assert recursion._search_nodes(40, 3) == 29
+    monkeypatch.setattr(recursion, "SEARCH_GRID_BUDGET", 12**3 - 1)
     searched = []
 
     def counted(rsb, mix, h, quad):
@@ -759,12 +788,13 @@ def test_search_runs_at_the_largest_count_within_the_budget(monkeypatch):
         return bound_and_gradient(rsb, mix, h, quad)
 
     monkeypatch.setattr(recursion, "bound_and_gradient", counted)
-    calls = _count_routes(monkeypatch)
+    calls = _count_chains(monkeypatch)
     mix = sk_mixture(1.5)
     quad = QuadratureSpec(nodes_per_level=12, convergence_check=False)
     opt = optimize_bound(mix, 0.3, 2, quad)
     assert set(searched) == {11}
-    assert calls["spline"] == [12]  # phi(0) at the optimum, at the requested count
+    # every search chain at 11 nodes; phi(0) at the optimum, at the requested count
+    assert calls.count(12) == 1 and set(calls) == {11, 12}
     assert opt.phi0 == phi0(opt.params, mix, 0.3, quad).phi0
     assert opt.value == bound_from_phi0(opt.params, mix, opt.phi0)
 

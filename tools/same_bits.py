@@ -55,6 +55,8 @@ COMMANDS = [
                               "--b", "200", "--replicas", "60"]),
     ("bound", "1", ["bound", "--mixture", "[[2, 0.42]]", "--m", "[0.5, 1.0]",
                     "--q", "[0.3, 0.7]"]),
+    # k = 3 at the default 40 nodes: one root node's grid is 64,000 points
+    ("bound k = 3", "1", ["bound", "--m", "[0.3, 0.6, 1.0]", "--q", "[0.2, 0.5, 0.8]"]),
     ("optimize --k 2", "1", ["optimize", "--mixture", "[[2, 0.42]]", "--k", "2",
                              "--nodes", "12"]),
     ("optimize p = 1", "1", ["optimize", "--mixture", "[[1, 0.7]]", "--k", "1", "--h", "0.3",
@@ -80,6 +82,8 @@ COMMANDS = [
                                             "--q", "[0.5]"]),
     ("usage: bound --scan-q1 count 1e999", "1", ["bound", "--scan-q1", "[0.1, 0.5, 1e999]",
                                                  "--csv-out", "s.csv"]),
+    ("usage: bound k = 3 --nodes 108", "1", ["bound", "--m", "[0.3, 0.6, 1.0]",
+                                            "--q", "[0.2, 0.5, 0.8]", "--nodes", "108"]),
     ("usage: interpolate --check derivative --t 1", "1",
      ["interpolate", "--check", "derivative", "--t", "1"]),
 ]
