@@ -69,25 +69,19 @@ _OP_FIELDCOV = 5
 INVARIANCE_STATISTICS = ("max_weight", "pair_sum")
 
 
-def subtree_sums(values: np.ndarray, level: int) -> np.ndarray:
-    """Sum a (b,)*k leaf array over all coordinates past ``level``."""
-    k = values.ndim
-    if level == k:
-        return values
-    return values.sum(axis=tuple(range(level, k)))
+def prefix_cross(fa: np.ndarray, fb: np.ndarray, k: int | None = None) -> np.ndarray:
+    """D_l = sum over depth-l prefixes of (subtree sum of fa)(of fb), l = 0..k.
 
-
-def prefix_concentrations(values: np.ndarray) -> list:
-    """C_l = sum over depth-l prefixes of (subtree sum)^2, l = 0..k."""
-    return [float((subtree_sums(values, l) ** 2).sum()) for l in range(values.ndim + 1)]
-
-
-def prefix_cross(fa: np.ndarray, fb: np.ndarray) -> list:
-    """D_l = sum over depth-l prefixes of (subtree sum of fa)(of fb)."""
-    return [
-        float((subtree_sums(fa, l) * subtree_sums(fb, l)).sum())
-        for l in range(fa.ndim + 1)
-    ]
+    The last k axes (all of them by default) are the leaf tree (b,)*k;
+    any leading axes are columns, so row D[l] has their shape.
+    """
+    tree = range(fa.ndim - (fa.ndim if k is None else k), fa.ndim)
+    rows = []
+    for l in range(len(tree) + 1):
+        sa = fa.sum(axis=tuple(tree[l:]))
+        sb = sa if fb is fa else fb.sum(axis=tuple(tree[l:]))
+        rows.append((sa * sb).sum(axis=tuple(tree[:l])))
+    return np.array(rows)
 
 
 @dataclass
@@ -147,7 +141,7 @@ class Cascade:
         of the loss estimate itself.  Index l runs 0..k; entry 0 is
         exactly 1, so partitions built from these still telescope to 1.
         """
-        c = np.asarray(prefix_concentrations(self.w))
+        c = prefix_cross(self.w, self.w)
         eps = self.cumulative_losses()
         return c * (1.0 - eps) ** 2
 
@@ -171,7 +165,7 @@ class Cascade:
         terms that involve a missing prefix are bounded by the largest
         missing weight times eps and sit far below this envelope.
         """
-        c = np.asarray(prefix_concentrations(self.w))
+        c = prefix_cross(self.w, self.w)
         eps = self.cumulative_losses()
         deep = 1.0 - (1.0 - eps[self.k]) / (1.0 - eps)
         slope = 2.0 * c * (1.0 - eps) * (TAIL_ACCURACY * eps)

@@ -91,7 +91,7 @@ class PairFunctional:
         (weight * y) and of the weight alone; the other path's are the same.
         ``pair(a, b)`` meets the two paths' means on their shared part: a
         product where that part is a grid axis, ``cascade.prefix_cross``
-        on a cascade's tree prefixes.
+        on a cascade's tree prefixes, one row per depth 0..k.
         """
         if self.form == "pair_product":
             return np.asarray(pair(mean_y, mean_y))

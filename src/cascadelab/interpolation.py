@@ -8,6 +8,9 @@ so statistical error comes only from disorder replicas and systematic
 error only from cascade truncation, which is corrected and budgeted the
 same way the plain cascade estimators do it.
 
+Every pair average under Gamma x Gamma is a difference of prefix sums of
+per-leaf moments, read from one table per system (``wedge_table``).
+
 The derivative identity is different: it holds verbatim for the realized
 truncated system (its proof is Gaussian integration by parts at fixed
 weights, and truncation changes neither the field covariances nor the
@@ -26,7 +29,6 @@ from .cascade import (
     Cascade,
     attach_fields,
     build_cascade,
-    prefix_concentrations,
     prefix_cross,
 )
 from .mixture import MixtureFunction, RSBParams, delta_array, theta
@@ -177,10 +179,22 @@ class GibbsSystem:
     def leaf_count(self) -> int:
         return self.cascade.leaf_count
 
-    def leaf_masses(self) -> np.ndarray:
-        """sigma-marginal of Gamma, shaped as the leaf tree (b,)*k."""
-        b = self.cascade.b
-        return self.gamma.sum(axis=0).reshape((b,) * self.rsb.k)
+    def wedge_table(self) -> np.ndarray:
+        """D[l, j] = sum over depth-l prefixes of (subtree sum of column j)^2.
+
+        The columns are the leaf mass, the N site moments sum_sigma Gamma
+        sigma_i and the M monomial moments sum_sigma Gamma sigma_S; row r-1
+        minus row r (row k at r = k+1) is their pair product's mean on wedge r.
+        """
+        N, b, k = self.N, self.cascade.b, self.rsb.k
+        # one C-ordered block, column axis first: each column's sums keep
+        # the bits of that column summed alone
+        cols = np.empty((1 + N + len(self.table.variances), self.leaf_count))
+        cols[0] = self.gamma.sum(axis=0)
+        cols[1 : N + 1] = (self.gamma.T @ spin_matrix(N)).T
+        cols[N + 1 :] = (self.gamma.T @ self.table.signs).T
+        x = cols.reshape((-1,) + (b,) * k)
+        return prefix_cross(x, x, k)
 
     def phi_value(self) -> float:
         return self.log_norm / self.N
@@ -243,7 +257,7 @@ class GibbsSystem:
         Entry r-1 is the (value, budget) pair of wedge depth r = 1..k+1.
         """
         k = self.rsb.k
-        c = prefix_concentrations(self.leaf_masses())
+        c = self.wedge_table()[:, 0]
         eps_f, margin = self.loss_profile()
         out = [
             _corrected_combo([(r - 1, 1.0, c[r - 1]), (r, -1.0, c[r])], eps_f, margin)
@@ -302,37 +316,28 @@ def phi_t(
     return Estimate.from_pairs(run_replicas(replica_rows, args, seed, disorder_replicas))
 
 
+def _wedge_rows(system: GibbsSystem):
+    """Wedge-table rows l = 0..k: mass c, summed sites s, variance-weighted monomials v."""
+    d, N = system.wedge_table(), system.N
+    return d[:, 0], d[:, 1 : N + 1].sum(axis=1), d[:, N + 1 :] @ system.table.variances
+
+
 def _pair_terms(system: GibbsSystem):
     """Exact <theta(q_wedge)> and <Delta(R, q_wedge)> under Gamma x Gamma.
 
     Independence of the two draws factorizes every pair average into
     per-leaf moments: xi(R(sigma, tau)) = (1/N) sum_S var_S sigma_S
-    tau_S exactly (it is the Hamiltonian covariance), and the wedge
-    indicator becomes a difference of prefix cross sums.
+    tau_S exactly (it is the Hamiltonian covariance) and R = (1/N)
+    sum_i sigma_i tau_i, so every term is read off the three rows of
+    ``_wedge_rows``; on wedge depth r = 1..k+1 (row r-1 minus row r) the
+    comparison point is q_r, with q_{k+1} = 1.
     """
-    mix, rsb, N = system.mixture, system.rsb, system.N
-    b, k = system.cascade.b, system.rsb.k
-    q = rsb.q
-
-    c = prefix_concentrations(system.leaf_masses())
-    theta_avg = sum(
-        (c[r - 1] - c[r]) * theta(mix, q[r]) for r in range(1, k + 1)
-    ) + c[k] * theta(mix, 1.0)
-
-    table = system.table
-    g = table.signs.T @ system.gamma.sum(axis=1)
-    xi_avg = float(table.variances @ g**2) / N
-
-    moments = system.gamma.T @ spin_matrix(N)
-    # xi'(q_1), ..., xi'(q_k) and xi'(1), the same at every site
-    slope = [float(mix.xi_prime(v)) for v in (*q[1 : k + 1], 1.0)]
-    r_xi = 0.0
-    for i in range(N):
-        d = prefix_cross(moments[:, i].reshape((b,) * k), moments[:, i].reshape((b,) * k))
-        r_xi += sum((d[r - 1] - d[r]) * slope[r - 1] for r in range(1, k + 1)) + d[k] * slope[k]
-    r_xi /= N
-
-    return theta_avg, xi_avg - r_xi + theta_avg
+    mix, q, N, k = system.mixture, system.rsb.q, system.N, system.rsb.k
+    c, s, v = _wedge_rows(system)
+    at = (*q[1 : k + 1], 1.0)
+    theta_avg = float(-np.diff(c, append=0.0) @ [theta(mix, x) for x in at])
+    r_xi = float(-np.diff(s, append=0.0) @ [mix.xi_prime(x) for x in at]) / N
+    return theta_avg, float(v[0]) / N - r_xi + theta_avg
 
 
 @dataclass
@@ -436,38 +441,15 @@ def _restricted_delta(system: GibbsSystem, r: int):
     """Corrected <Delta(R, q_wedge) I(wedge = r)> with its budget.
 
     On the event wedge = r the comparison point is q_r, so the average
-    splits into monomial, site and mass pieces, each a difference of
-    prefix cross sums at levels r-1 and r; all three get the same
-    truncation correction as the overlap masses.
+    is one combination y of the three rows of ``_wedge_rows``, taken at
+    levels r-1 and r; it gets the same truncation correction as the
+    overlap masses.
     """
-    mix, rsb, N = system.mixture, system.rsb, system.N
-    b, k = system.cascade.b, system.rsb.k
-    q_r = rsb.q[r]
-    terms = []
-
-    variances = system.table.variances
-    monomial_moments = system.gamma.T @ system.table.signs
-    for j in range(len(variances)):
-        x = monomial_moments[:, j].reshape((b,) * k)
-        d = prefix_cross(x, x)
-        terms.append((r - 1, variances[j] / N, d[r - 1]))
-        terms.append((r, -variances[j] / N, d[r]))
-
-    xp = float(mix.xi_prime(q_r))
-    site_moments = system.gamma.T @ spin_matrix(N)
-    for i in range(N):
-        x = site_moments[:, i].reshape((b,) * k)
-        d = prefix_cross(x, x)
-        terms.append((r - 1, -xp / N, d[r - 1]))
-        terms.append((r, xp / N, d[r]))
-
-    th = theta(mix, q_r)
-    c = prefix_concentrations(system.leaf_masses())
-    terms.append((r - 1, th, c[r - 1]))
-    terms.append((r, -th, c[r]))
-
+    mix, N, q_r = system.mixture, system.N, system.rsb.q[r]
+    c, s, v = _wedge_rows(system)
+    y = (v - mix.xi_prime(q_r) * s) / N + theta(mix, q_r) * c
     eps_f, margin = system.loss_profile()
-    return _corrected_combo(terms, eps_f, margin)
+    return _corrected_combo([(r - 1, 1.0, y[r - 1]), (r, -1.0, y[r])], eps_f, margin)
 
 
 @dataclass

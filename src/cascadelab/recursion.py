@@ -129,7 +129,10 @@ def phi0(
     """
     nodes = quad.nodes_per_level
     if quad.convergence_check:
-        _grid_nodes(2 * nodes, rsb.k)  # refused here, before the first chain runs
+        try:  # refused here, before the first chain runs
+            _grid_nodes(2 * nodes, rsb.k)
+        except ValueError as err:
+            raise ValueError(f"{err}: the convergence check doubles {nodes} nodes") from None
     s = _level_scales(rsb, mix)
     val = _phi0_chain(rsb, s, h, nodes)
     diff = 0.0

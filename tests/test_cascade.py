@@ -17,10 +17,8 @@ from cascadelab.cascade import (
     leaf_functional,
     log_partition_identity,
     overlap_mass,
-    prefix_concentrations,
     prefix_cross,
     sample_marks,
-    subtree_sums,
     tilted_average,
     weight_tilt_invariance,
 )
@@ -55,23 +53,25 @@ QUAD = QuadratureSpec(nodes_per_level=40)
 def test_prefix_concentrations_small_case():
     # hand oracle on a 2x2 leaf array
     w = np.array([[0.1, 0.2], [0.3, 0.4]])
-    c = prefix_concentrations(w)
+    c = prefix_cross(w, w)
     assert c[0] == pytest.approx(1.0)
     assert c[1] == pytest.approx(0.3**2 + 0.7**2)
     assert c[2] == pytest.approx(0.01 + 0.04 + 0.09 + 0.16)
 
 
 def test_prefix_cross_reduces_to_concentrations():
+    # prefix_cross(w, w) sums the squared subtree sums over each depth's
+    # prefixes, and with a leading column axis every column keeps the
+    # bits it has alone
     rng = np.random.default_rng(1)
     w = rng.random((3, 3, 3))
-    assert prefix_cross(w, w) == pytest.approx(prefix_concentrations(w))
-
-
-def test_subtree_sums_shapes():
-    w = np.arange(8.0).reshape(2, 2, 2)
-    assert subtree_sums(w, 0).shape == ()
-    assert subtree_sums(w, 2).shape == (2, 2)
-    assert subtree_sums(w, 0) == pytest.approx(w.sum())
+    want = [w.sum() ** 2, (w.sum(axis=(1, 2)) ** 2).sum(), (w.sum(axis=2) ** 2).sum(), (w**2).sum()]
+    assert prefix_cross(w, w) == pytest.approx(want, rel=1e-14)
+    cols = rng.random((5, 3, 3, 3))
+    d = prefix_cross(cols, cols, 3)
+    assert d.shape == (4, 5)
+    for j in range(5):
+        assert np.array_equal(d[:, j], prefix_cross(cols[j], cols[j]))
 
 
 def test_cascade_weights_normalized():
@@ -291,7 +291,8 @@ def _oracle_overlap_mass(rsb, b, r, replicas, seed):
 
 def _oracle_wedge_mass(system, r):
     k = system.rsb.k
-    c = prefix_concentrations(system.leaf_masses())
+    masses = system.gamma.sum(axis=0).reshape((system.cascade.b,) * k)
+    c = prefix_cross(masses, masses)
     eps_f, margin = system.loss_profile()
     if r == k + 1:
         terms = [(k, 1.0, c[k])]

@@ -624,6 +624,7 @@ def test_bound_over_the_grid_budget_exits_two_before_any_grid(monkeypatch, capsy
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "TENSOR_BUDGET" in captured.err
+    assert "216^3 exceeds" in captured.err and "doubles 108 nodes" in captured.err
 
 
 def test_whole_float_scan_count_is_accepted():

@@ -1,5 +1,6 @@
 """Joint Gibbs systems on the interpolation path and their identities."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -15,8 +16,10 @@ from cascadelab.interpolation import (
     _OP_ERROR_COUPLED,
     MODULE_INTERP,
     CoupledGibbsSystem,
+    GibbsSystem,
     _pair_terms,
     _read_derivative,
+    _restricted_delta,
     build_coupled_system,
     build_system,
     derivative_check,
@@ -24,10 +27,10 @@ from cascadelab.interpolation import (
     gibbs_overlap_mass,
     phi_t,
 )
-from cascadelab.mixture import RSBParams, make_mixture, sk_mixture
+from cascadelab.mixture import RSBParams, make_mixture, sk_mixture, theta
 from cascadelab.recursion import QuadratureSpec, phi0
 from cascadelab.seeding import replica_rows
-from cascadelab.sk_model import exact_free_energy, spin_matrix, spin_sums
+from cascadelab.sk_model import covariance_exact, exact_free_energy, spin_matrix, spin_sums
 from cascadelab.stats import Estimate, Exact, identity_check
 
 LOG2COSH_HALF = math.log(2.0 * math.cosh(0.5))
@@ -41,10 +44,85 @@ def test_system_construction_invariants():
     system = build_system(3, 0.5, sk_mixture(0.6), RSB2, 20, 0.3, seed=123)
     assert system.gamma.shape == (8, 400)
     assert abs(float(system.gamma.sum()) - 1.0) < 1e-10
-    assert system.leaf_masses().shape == (20, 20)
-    assert system.leaf_masses().sum() == pytest.approx(1.0, abs=1e-10)
+    table = system.wedge_table()
+    assert table.shape == (3, 1 + 3 + len(system.table.variances))
+    assert table[0, 0] == pytest.approx(1.0, abs=1e-10)  # (total leaf mass)^2
     assert system.phi_value() == pytest.approx(system.log_norm / 3.0, rel=1e-12)
     assert np.all(system.gamma >= 0.0)
+
+
+def _oracle_pair_sums(system):
+    # Every pair of states (sigma, alpha), (tau, beta) weighted by
+    # gamma * gamma: the wedge depth is one more than the number of leading
+    # leaf digits alpha and beta share, and xi(R) is the Hamiltonian
+    # covariance over N.  Returns <theta(q_wedge)>, <Delta(R, q_wedge)>,
+    # and per r = 1..k+1 the wedge mass and <Delta(R, q_r) I(wedge = r)>.
+    N, mix, k, b = system.N, system.mixture, system.rsb.k, system.cascade.b
+    spins = spin_matrix(N)
+    overlap = spins @ spins.T / N
+    xi = np.array([[covariance_exact(N, mix, s1, s2) / N for s2 in spins] for s1 in spins])
+    digits = np.array(list(itertools.product(range(b), repeat=k)))
+    wedge = 1 + np.cumprod(digits[:, None, :] == digits[None, :, :], axis=2).sum(axis=2)
+    weight = system.gamma[:, :, None, None] * system.gamma[None, None, :, :]
+    q_at = np.append(system.rsb.q[1 : k + 1], 1.0)
+
+    def delta(q):
+        return xi - overlap * mix.xi_prime(q) + theta(mix, q)  # (2^N, 2^N) over spins
+
+    theta_avg = delta_avg = 0.0
+    masses, restricted = [], []
+    for r in range(1, k + 2):
+        on = (wedge == r)[None, :, None, :]
+        pair = np.where(on, weight, 0.0).transpose(0, 2, 1, 3).sum(axis=(2, 3))
+        q = q_at[r - 1]
+        masses.append(pair.sum())
+        restricted.append((pair * delta(q)).sum())
+        theta_avg += masses[-1] * theta(mix, q)
+        delta_avg += restricted[-1]
+    return theta_avg, delta_avg, masses, restricted
+
+
+@pytest.mark.parametrize("mixture", [[[2, 0.8]], [[2, 0.5], [4, 0.3]]], ids=["sk", "p2p4"])
+@pytest.mark.parametrize(
+    "N, b, ladder",
+    [(2, 3, (0.4,)), (2, 3, (0.3, 0.6)), (3, 3, (0.2, 0.5, 0.7))],
+    ids=["N2-b3-k1", "N2-b3-k2", "N3-b3-k3"],
+)
+def test_pair_sums_match_the_pair_enumeration(monkeypatch, mixture, N, b, ladder):
+    # The wedge-table readers against a direct sum over every state pair,
+    # with the truncation correction switched off so the raw sums compare.
+    k = len(ladder)
+    monkeypatch.setattr(
+        GibbsSystem, "loss_profile", lambda self: (np.zeros(k + 1), np.zeros(k + 1))
+    )
+    rsb = RSBParams.from_interior(tuple(0.2 + 0.25 * i for i in range(k)), ladder)
+    for rep in range(2):
+        system = build_system(N, 0.4, make_mixture(mixture), rsb, b, 0.3, seed=(61, rep))
+        theta_avg, delta_avg, masses, restricted = _oracle_pair_sums(system)
+        assert _pair_terms(system) == pytest.approx((theta_avg, delta_avg), rel=0, abs=1e-13)
+        got = [value for value, _ in system.wedge_masses()]
+        assert got == pytest.approx(masses, rel=0, abs=1e-13)
+        for r in range(1, k + 1):
+            value, budget = _restricted_delta(system, r)
+            assert value == pytest.approx(restricted[r - 1], rel=0, abs=1e-13) and budget == 0.0
+
+
+def test_loss_profile_carries_the_gibbs_tilt():
+    # With no couplings, no field and h = 0 the leaf marginal is w itself,
+    # so the mean tilt rho is 1 and the tilted losses are the cascade's.
+    # A strongly tilted system moves them to eps rho / (1 - eps + eps rho).
+    flat = build_system(3, 0.5, make_mixture([[2, 0.0]]), RSB2, 12, 0.0, seed=3)
+    eps_f, _ = flat.loss_profile()
+    assert flat._tilt_statistics()[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(eps_f - flat.cascade.cumulative_losses())) <= 1e-15
+    tilted = build_system(3, 0.5, sk_mixture(1.5), RSB2, 12, 0.3, seed=3)
+    eps = tilted.cascade.cumulative_losses()
+    rho = float((tilted.gamma.sum(axis=0) / tilted.cascade.leaf_weights_flat()).mean())
+    assert tilted._tilt_statistics()[0] == pytest.approx(rho, rel=1e-12)
+    assert abs(rho - 1.0) > 0.5, rho
+    eps_f, _ = tilted.loss_profile()
+    assert eps_f == pytest.approx(eps * rho / (1.0 - eps + eps * rho), rel=1e-12, abs=1e-15)
+    assert np.all(np.abs(eps_f[1:] - eps[1:]) > 0.01 * eps[1:]), (eps_f, eps)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])

@@ -33,6 +33,11 @@ _INTERP = [
     "--N", "4", "--b", "30", "--mixture", "[[2, 0.5]]", "--h", "0.3",
     "--m", "[0.4, 0.8]", "--q", "[0.3, 0.6]", "--replicas", "60",
 ]
+# a three-level wedge table with order-4 monomial columns
+_INTERP_K3 = [
+    "--N", "4", "--b", "10", "--mixture", "[[2, 0.5], [4, 0.3]]", "--h", "0.3",
+    "--m", "[0.3, 0.6, 0.8]", "--q", "[0.2, 0.5, 0.7]", "--replicas", "40",
+]
 # (name, worker count, arguments)
 COMMANDS = [
     ("verify-all smoke, 1 worker", "1", ["verify-all", "--preset", "smoke"]),
@@ -70,6 +75,9 @@ COMMANDS = [
 ] + [
     (f"interpolate {check}", "1", ["interpolate", "--check", check, *_INTERP])
     for check in ("phi", "derivative", "overlap", "error-term")
+] + [
+    (f"interpolate {check} k = 3", "1", ["interpolate", "--check", check, *_INTERP_K3])
+    for check in ("derivative", "overlap")
 ] + [
     # Usage errors: stdout is empty, so these compare by exit status, and
     # a change to which inputs are refused shows up.
