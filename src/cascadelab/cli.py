@@ -624,12 +624,11 @@ def cmd_interpolate(cfg: RunConfig):
             "gibbs_overlap", estimates, rsb, cfg.tolerance, r_values, extras={"t": cfg.t}
         )
     elif cfg.check == "error-term":
-        for r in cfg.r_values(rsb.k):
-            report = error_term_check(
-                cfg.N, cfg.t, r, mix, rsb, cfg.b, cfg.h, cfg.replicas,
-                child_seed(cfg.seed, 66), cfg.tolerance,
-            )
-            records.append(report.record)
+        reports = error_term_check(
+            cfg.N, cfg.t, cfg.r_values(rsb.k), mix, rsb, cfg.b, cfg.h, cfg.replicas,
+            child_seed(cfg.seed, 66), cfg.tolerance,
+        )
+        records += [report.record for report in reports]
     return records, None, series
 
 
@@ -736,14 +735,14 @@ def cmd_verify_all(cfg: RunConfig):
     rsb_e = RSBParams.from_interior((0.3, 0.6), (0.3, 0.6))
     records.append(
         error_term_check(
-            4, 0.5, 1, mix_i, rsb_e, n(40, 25), 0.3, n(100, 50), seed(14), tol
-        ).record
+            4, 0.5, [1], mix_i, rsb_e, n(40, 25), 0.3, n(100, 50), seed(14), tol
+        )[0].record
     )
 
     # The restricted Gibbs average against tensor quadrature, plus its
     # exact normalization and chain factorization.
     quad_mu = QuadratureSpec(nodes_per_level=14, convergence_check=False)
-    report = error_term_check(1, 0.5, 1, mix_i, rsb_e, n(60, 30), 0.3, n(250, 100), seed(15))
+    [report] = error_term_check(1, 0.5, [1], mix_i, rsb_e, n(60, 30), 0.3, n(250, 100), seed(15))
     mu = mu_r_quadrature(1, 2, 1, mix_i, rsb_e, 0.3, 0.5, "delta_overlap", quad_mu)
     records.append(
         identity_check("mu_quadrature_r1", report.coupled_average, Exact(mu.value), tol)

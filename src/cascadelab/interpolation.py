@@ -110,6 +110,17 @@ def _gibbs_weights(expo, message, axis=None):
     return gamma, log_norm.item() if axis is None else log_norm.squeeze(axis)
 
 
+def _leaf_mean(cascade: Cascade, values):
+    """Mean of per-leaf ``values`` and its sampling error.
+
+    Leaves under one root block share tree columns, so the error is
+    taken across the b nearly independent level-1 subtree means, not
+    across raw leaves.
+    """
+    blocks = values.reshape(cascade.b, -1).mean(axis=1)
+    return float(values.mean()), float(blocks.std(ddof=1) / np.sqrt(blocks.size))
+
+
 def _corrected_combo(terms, eps, margin):
     """Value and error budget of sum_j c_j S_j (1 - eps_{l_j})^2.
 
@@ -200,18 +211,8 @@ class GibbsSystem:
         return self.log_norm / self.N
 
     def _tilt_statistics(self):
-        """Mean per-leaf Gibbs tilt and its sampling error.
-
-        f is normalized so the weighted mean is 1; rho estimates the
-        expected tilt of an unseen leaf.  Leaves under one root block
-        share tree columns, so the error is taken across the b nearly
-        independent level-1 subtree means, not across raw leaves.
-        """
-        f = self.gamma.sum(axis=0) / self.cascade.leaf_weights_flat()
-        blocks = f.reshape(self.cascade.b, -1).mean(axis=1)
-        rho = float(f.mean())
-        se = float(blocks.std(ddof=1) / np.sqrt(blocks.size))
-        return rho, se
+        """Mean per-leaf Gibbs tilt rho, the expected tilt of an unseen leaf, and its error."""
+        return _leaf_mean(self.cascade, self.gamma.sum(axis=0) / self.cascade.leaf_weights_flat())
 
     def phi_allowance(self) -> float:
         """Truncation budget for the log-partition value.
@@ -257,7 +258,8 @@ class GibbsSystem:
         Entry r-1 is the (value, budget) pair of wedge depth r = 1..k+1.
         """
         k = self.rsb.k
-        c = self.wedge_table()[:, 0]
+        mass = self.gamma.sum(axis=0).reshape((self.cascade.b,) * k)
+        c = prefix_cross(mass, mass)
         eps_f, margin = self.loss_profile()
         out = [
             _corrected_combo([(r - 1, 1.0, c[r - 1]), (r, -1.0, c[r])], eps_f, margin)
@@ -294,6 +296,14 @@ def build_system(
     )
 
 
+def _joint_rows(op, read, N, t, mixture, rsb, b, h, replicas, seed) -> np.ndarray:
+    """``read`` of each replica's plain system at t, one row per replica."""
+    _check_joint_budget(N, rsb, b, t)
+    rsb.requires_simulable()
+    build = partial(build_system, N, t, mixture, rsb, b, h)
+    return run_replicas(replica_rows, ((MODULE_INTERP, op), build, read), seed, replicas)
+
+
 def _read_phi(system: GibbsSystem):
     return system.phi_value(), system.phi_allowance()
 
@@ -309,11 +319,9 @@ def phi_t(
     seed: int,
 ) -> Estimate:
     """Monte Carlo over disorder of the exact inner log-sum."""
-    _check_joint_budget(N, rsb, b, t)
-    rsb.requires_simulable()
-    build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = ((MODULE_INTERP, _OP_PHI), build, _read_phi)
-    return Estimate.from_pairs(run_replicas(replica_rows, args, seed, disorder_replicas))
+    return Estimate.from_pairs(
+        _joint_rows(_OP_PHI, _read_phi, N, t, mixture, rsb, b, h, disorder_replicas, seed)
+    )
 
 
 def _wedge_rows(system: GibbsSystem):
@@ -381,11 +389,7 @@ def derivative_check(
     """Pathwise derivative of phi against the exact Gibbs-average formula."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"t = {t} outside (0, 1)")
-    _check_joint_budget(N, rsb, b, t)
-    rsb.requires_simulable()
-    build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = ((MODULE_INTERP, _OP_DERIVATIVE), build, _read_derivative)
-    vals = run_replicas(replica_rows, args, seed, replicas)
+    vals = _joint_rows(_OP_DERIVATIVE, _read_derivative, N, t, mixture, rsb, b, h, replicas, seed)
     constant = -0.5 * theta(mixture, 1.0)
     pathwise = Estimate.from_values(vals[:, 0])
     theta_term = Estimate.from_values(0.5 * vals[:, 1])
@@ -429,27 +433,27 @@ def gibbs_overlap_mass(
 
     Target m_r - m_{r-1}; each replica's system is built once for all r.
     """
-    _check_joint_budget(N, rsb, b, t)
-    rsb.requires_simulable()
-    build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = ((MODULE_INTERP, _OP_MASS), build, GibbsSystem.wedge_masses)
-    vals = run_replicas(replica_rows, args, seed, replicas)
+    read = GibbsSystem.wedge_masses
+    vals = _joint_rows(_OP_MASS, read, N, t, mixture, rsb, b, h, replicas, seed)
     return [Estimate.from_pairs(vals[:, j]) for j in range(rsb.k + 1)]
 
 
-def _restricted_delta(system: GibbsSystem, r: int):
-    """Corrected <Delta(R, q_wedge) I(wedge = r)> with its budget.
+def _restricted_deltas(system: GibbsSystem) -> list:
+    """Corrected <Delta(R, q_wedge) I(wedge = r)> with its budget, entry r-1 for r = 1..k.
 
     On the event wedge = r the comparison point is q_r, so the average
     is one combination y of the three rows of ``_wedge_rows``, taken at
     levels r-1 and r; it gets the same truncation correction as the
     overlap masses.
     """
-    mix, N, q_r = system.mixture, system.N, system.rsb.q[r]
+    mix, N, q = system.mixture, system.N, system.rsb.q
     c, s, v = _wedge_rows(system)
-    y = (v - mix.xi_prime(q_r) * s) / N + theta(mix, q_r) * c
     eps_f, margin = system.loss_profile()
-    return _corrected_combo([(r - 1, 1.0, y[r - 1]), (r, -1.0, y[r])], eps_f, margin)
+    out = []
+    for r in range(1, system.rsb.k + 1):
+        y = (v - mix.xi_prime(q[r]) * s) / N + theta(mix, q[r]) * c
+        out.append(_corrected_combo([(r - 1, 1.0, y[r - 1]), (r, -1.0, y[r])], eps_f, margin))
+    return out
 
 
 @dataclass
@@ -485,23 +489,17 @@ class CoupledGibbsSystem:
         an unseen leaf's conditional mean sits from the reported value,
         estimated by the unweighted leaf average.
         """
-        rsb = self.cascade.rsb
+        cascade = self.cascade
         spins = spin_matrix(self.N)
         overlaps = (spins @ spins.T) / self.N
-        dvals = delta_array(self.mixture, overlaps, float(rsb.q[self.r]))
+        dvals = delta_array(self.mixture, overlaps, float(cascade.rsb.q[self.r]))
         leaf_means = np.einsum("sa,sa->a", self.p1, dvals @ self.p2)
         value = float(self.pi @ leaf_means)
 
-        f = self.pi / self.cascade.leaf_weights_flat()
-        rho = float(f.mean())
-        eps = float(self.cascade.cumulative_losses()[-1])
-        eps_f = _tilted_loss(eps, rho)
-        blocks = leaf_means.reshape(self.cascade.b, -1).mean(axis=1)
-        allowance = eps_f * (
-            abs(float(leaf_means.mean()) - value)
-            + 3.0 * float(blocks.std(ddof=1) / np.sqrt(blocks.size))
-        )
-        return value, allowance
+        rho, _ = _leaf_mean(cascade, self.pi / cascade.leaf_weights_flat())
+        eps_f = _tilted_loss(float(cascade.cumulative_losses()[-1]), rho)
+        unseen, se = _leaf_mean(cascade, leaf_means)
+        return value, eps_f * (abs(unseen - value) + 3.0 * se)
 
 
 def build_coupled_system(
@@ -564,7 +562,7 @@ class ErrorTermReport:
 def error_term_check(
     N: int,
     t: float,
-    r: int,
+    r_values: list,
     mixture: MixtureFunction,
     rsb: RSBParams,
     b: int,
@@ -572,32 +570,32 @@ def error_term_check(
     replicas: int,
     seed: int,
     tolerance_multiplier: float = 3.0,
-) -> ErrorTermReport:
-    """Wedge-restricted Delta under Gamma x Gamma vs the coupled system."""
-    _check_joint_budget(N, rsb, b, t)
+) -> list:
+    """Wedge-restricted Delta under Gamma x Gamma vs the coupled system, one report per r.
+
+    The plain systems serve every r; the coupled system depends on r and runs per r.
+    """
     _check_coupled_budget(N, rsb, b, t)
-    if not 1 <= r <= rsb.k:
-        raise ValueError(f"r outside 1..{rsb.k}")
-    rsb.requires_simulable()
-    gap = rsb.m[r] - rsb.m[r - 1]
-    build = partial(build_system, N, t, mixture, rsb, b, h)
-    args = ((MODULE_INTERP, _OP_ERROR_PLAIN), build, partial(_restricted_delta, r=r))
-    lhs = Estimate.from_pairs(run_replicas(replica_rows, args, seed, replicas))
-    build = partial(build_coupled_system, N, t, r, mixture, rsb, b, h)
-    args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, CoupledGibbsSystem.delta_average)
-    # (value, allowance) rows of the coupled mean, times the exponent gap
-    coupled = gap * run_replicas(replica_rows, args, seed, replicas)
-    rhs = Estimate.from_pairs(coupled)
-    coupled_average = Estimate.from_values(
-        coupled[:, 0] / gap, allowance=float(coupled[:, 1].mean()) / gap
-    )
-    record = identity_check(
-        f"error_term_r{r}",
-        lhs,
-        rhs,
-        tolerance_multiplier,
-        extras={"t": t, "r": r, "exponent_gap": gap},
-    )
-    return ErrorTermReport(
-        r=r, t=t, lhs=lhs, rhs=rhs, coupled_average=coupled_average, record=record
-    )
+    for r in r_values:
+        if not 1 <= r <= rsb.k:
+            raise ValueError(f"r = {r} outside 1..{rsb.k}")
+    read = _restricted_deltas
+    plain = _joint_rows(_OP_ERROR_PLAIN, read, N, t, mixture, rsb, b, h, replicas, seed)
+    reports = []
+    for r in r_values:
+        gap = rsb.m[r] - rsb.m[r - 1]
+        lhs = Estimate.from_pairs(plain[:, r - 1])
+        build = partial(build_coupled_system, N, t, r, mixture, rsb, b, h)
+        args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, CoupledGibbsSystem.delta_average)
+        # (value, allowance) rows of the coupled mean, times the exponent gap
+        coupled = gap * run_replicas(replica_rows, args, seed, replicas)
+        rhs = Estimate.from_pairs(coupled)
+        coupled_average = Estimate.from_values(
+            coupled[:, 0] / gap, allowance=float(coupled[:, 1].mean()) / gap
+        )
+        record = identity_check(
+            f"error_term_r{r}", lhs, rhs, tolerance_multiplier,
+            extras={"t": t, "r": r, "exponent_gap": gap},
+        )
+        reports.append(ErrorTermReport(r, t, lhs, rhs, coupled_average, record))
+    return reports

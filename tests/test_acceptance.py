@@ -218,10 +218,10 @@ def test_criterion_11_error_term_and_mu():
     mix = sk_mixture(0.5)
     rsb = RSBParams.from_interior((0.3, 0.6), (0.3, 0.6))
     for r in (1, 2):
-        report = error_term_check(4, 0.5, r, mix, rsb, 60, 0.3, 150, seed=2101 + r)
+        [report] = error_term_check(4, 0.5, [r], mix, rsb, 60, 0.3, 150, seed=2101 + r)
         _collect(failures, report.record)
     # independent quadrature cross-check of the coupled average at N=1
-    mc = error_term_check(1, 0.5, 1, mix, rsb, 60, 0.3, 250, seed=2111)
+    [mc] = error_term_check(1, 0.5, [1], mix, rsb, 60, 0.3, 250, seed=2111)
     ref = mu_r_quadrature(1, 2, 1, mix, rsb, 0.3, 0.5, "delta_overlap", QUAD14)
     _collect(
         failures,

@@ -627,6 +627,22 @@ def test_bound_over_the_grid_budget_exits_two_before_any_grid(monkeypatch, capsy
     assert "216^3 exceeds" in captured.err and "doubles 108 nodes" in captured.err
 
 
+def test_sk_exact_optimizes_without_the_convergence_check(monkeypatch, capsys):
+    # The report reads the optimized bound alone, so no phi(0) chain runs
+    # at the convergence check's doubled node count.
+    nodes = []
+    chain = recursion._phi0_chain
+
+    def spy(rsb, s, h, n, *args, **kwargs):
+        nodes.append(n)
+        return chain(rsb, s, h, n, *args, **kwargs)
+
+    monkeypatch.setattr(recursion, "_phi0_chain", spy)
+    argv = ["sk-exact", "--k", "1", "--N", "4", "--replicas", "10", "--nodes", "16"]
+    assert run(argv) == 0
+    assert nodes and 32 not in nodes, nodes
+
+
 def test_whole_float_scan_count_is_accepted():
     assert resolve_config("bound", {}, {"scan_q1": [0.1, 0.5, 40.0]}).scan_q1 == [0.1, 0.5, 40]
     assert resolve_config("bound", {}, {"scan_q1": [0.1, 0.5, 40]}).scan_q1 == [0.1, 0.5, 40]

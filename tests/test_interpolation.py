@@ -19,7 +19,7 @@ from cascadelab.interpolation import (
     GibbsSystem,
     _pair_terms,
     _read_derivative,
-    _restricted_delta,
+    _restricted_deltas,
     build_coupled_system,
     build_system,
     derivative_check,
@@ -103,7 +103,7 @@ def test_pair_sums_match_the_pair_enumeration(monkeypatch, mixture, N, b, ladder
         got = [value for value, _ in system.wedge_masses()]
         assert got == pytest.approx(masses, rel=0, abs=1e-13)
         for r in range(1, k + 1):
-            value, budget = _restricted_delta(system, r)
+            value, budget = _restricted_deltas(system)[r - 1]
             assert value == pytest.approx(restricted[r - 1], rel=0, abs=1e-13) and budget == 0.0
 
 
@@ -399,7 +399,7 @@ def test_coupled_system_stays_below_one_joint_array():
 
 
 def test_error_term_factorization_small():
-    report = error_term_check(2, 0.5, 1, sk_mixture(0.5), RSB1, 40, 0.3, 120, seed=71)
+    [report] = error_term_check(2, 0.5, [1], sk_mixture(0.5), RSB1, 40, 0.3, 120, seed=71)
     assert report.record.passed, report.record
     gap = RSB1.m[1] - RSB1.m[0]
     assert report.rhs.mean == pytest.approx(gap * report.coupled_average.mean, rel=1e-12)
@@ -425,7 +425,7 @@ def test_coupled_rows_match_dedicated_loop():
     build = partial(build_coupled_system, 2, 0.5, r, mix, RSB2, 6, 0.3)
     args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, CoupledGibbsSystem.delta_average)
     assert np.array_equal(gap * replica_rows(args, 23, 0, 12), oracle)
-    report = error_term_check(2, 0.5, r, mix, RSB2, 6, 0.3, 12, seed=23)
+    [report] = error_term_check(2, 0.5, [r], mix, RSB2, 6, 0.3, 12, seed=23)
     assert report.rhs == Estimate.from_values(
         oracle[:, 0], allowance=float(oracle[:, 1].mean())
     )
@@ -440,7 +440,7 @@ def test_error_term_same_across_workers(monkeypatch):
     out = {}
     for workers in ("1", "2"):
         monkeypatch.setenv("CASCADELAB_WORKERS", workers)
-        report = error_term_check(2, 0.5, 1, mix, RSB1, 8, 0.3, 300, seed=29)
+        [report] = error_term_check(2, 0.5, [1], mix, RSB1, 8, 0.3, 300, seed=29)
         out[workers] = (report.lhs, report.rhs, report.coupled_average, report.record)
     assert out["1"] == out["2"]
 
@@ -458,9 +458,41 @@ def test_error_term_checks_coupled_limits_first(monkeypatch, N, b, ladder, match
     monkeypatch.setattr(interpolation, "build_system", no_build)
     rsb = RSBParams.from_interior(ladder, ladder)
     with pytest.raises(ValueError, match=match):
-        error_term_check(N, 0.5, 1, sk_mixture(0.5), rsb, b, 0.3, 4, seed=1)
+        error_term_check(N, 0.5, [1], sk_mixture(0.5), rsb, b, 0.3, 4, seed=1)
 
 
-def test_error_term_rejects_bad_level():
-    with pytest.raises(ValueError, match="r outside"):
-        error_term_check(2, 0.5, 2, sk_mixture(0.5), RSB1, 40, 0.3, 10, seed=1)
+def test_error_term_rejects_bad_level(monkeypatch):
+    with pytest.raises(ValueError, match="r = 2 outside 1..1"):
+        error_term_check(2, 0.5, [2], sk_mixture(0.5), RSB1, 40, 0.3, 10, seed=1)
+
+    # a bad level after a good one is refused before any replica runs
+    def no_build(*args):
+        raise AssertionError("a system was built")
+
+    monkeypatch.setattr(interpolation, "build_system", no_build)
+    monkeypatch.setattr(interpolation, "build_coupled_system", no_build)
+    with pytest.raises(ValueError, match="r = 3 outside 1..2"):
+        error_term_check(2, 0.5, [1, 3], sk_mixture(0.5), RSB2, 6, 0.3, 4, seed=1)
+
+
+def test_error_term_builds_each_plain_system_once_for_every_level(monkeypatch):
+    # One plain build per replica serves r = 1 and 2, and each level's
+    # report equals the one read alone.
+    mix, replicas = sk_mixture(0.5), 6
+    alone = [
+        error_term_check(2, 0.5, [r], mix, RSB2, 6, 0.3, replicas, seed=37)[0] for r in (1, 2)
+    ]
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build_system(*args)
+
+    monkeypatch.setattr(interpolation, "build_system", counted)
+    both = error_term_check(2, 0.5, [1, 2], mix, RSB2, 6, 0.3, replicas, seed=37)
+    assert len(builds) == replicas
+    assert [report.r for report in both] == [1, 2]
+    for joint, single in zip(both, alone):
+        assert joint.lhs == single.lhs and joint.rhs == single.rhs
+        assert joint.coupled_average == single.coupled_average
+        assert joint.record == single.record

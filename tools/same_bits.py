@@ -12,16 +12,20 @@ command's exit status and hash on both sides. Where two reports differ,
 it also prints each changed field's path, both values and |delta|, so a
 change that moves numbers on purpose shows how far. It exits with
 status 1 if any command differs. The temporary directory is removed at
-the end.
+the end, and also when the script is stopped by SIGTERM or SIGINT: each
+command runs in its own session, and a stop ends that command's whole
+process group, its pool workers included.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -79,6 +83,10 @@ COMMANDS = [
     (f"interpolate {check} k = 3", "1", ["interpolate", "--check", check, *_INTERP_K3])
     for check in ("derivative", "overlap")
 ] + [
+    # one depth read through the all-depth error-term read
+    ("interpolate error-term r = 2", "1",
+     ["interpolate", "--check", "error-term", *_INTERP, "--r", "[2]"]),
+] + [
     # Usage errors: stdout is empty, so these compare by exit status, and
     # a change to which inputs are refused shows up.
     ("usage: pd m = 1.5", "1", ["pd", "--m", "[0.5, 1.5]"]),
@@ -100,11 +108,20 @@ COMMANDS = [
 def run_report(tree: Path, workers: str, args: list) -> tuple:
     """(exit status, standard output) of one command on one side."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), CASCADELAB_WORKERS=workers)
-    proc = subprocess.run(
+    with subprocess.Popen(
         [sys.executable, "-m", "cascadelab.cli", *args],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-    return proc.returncode, proc.stdout
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, _ = proc.communicate()
+        except BaseException:
+            # stopped: end the command and its pool workers, then unwind
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGTERM)
+            proc.wait()
+            raise
+    return proc.returncode, stdout
 
 
 def digest(stdout: str) -> str:
@@ -186,7 +203,14 @@ def compare(rev: str, rev_tree: Path) -> int:
     return differ
 
 
+def _stop(signum, frame):
+    """Unwind on SIGTERM or SIGINT, so the running command and the temporary directory go."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", metavar="REV", help="the git revision to compare against")
     rev = parser.parse_args(argv).rev
