@@ -343,6 +343,8 @@ class RunConfig:
         for r in self.r:
             if not 1 <= r <= max_r:
                 raise ConfigError(f"r = {r} outside 1..{max_r}")
+        if len(set(self.r)) < len(self.r):
+            raise ConfigError(f"r = {list(self.r)} names a level twice")
         return list(self.r)
 
 

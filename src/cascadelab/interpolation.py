@@ -83,19 +83,6 @@ def _tilted_loss(eps, rho):
     return eps * rho / (1.0 - eps + eps * rho)
 
 
-def _sample_disorder(N, mixture, rsb, cascade_rsb, b, seed):
-    """One disorder draw: (cascade, field columns, Hamiltonian table).
-
-    The cascade takes the exponents of ``cascade_rsb``, the columns the
-    variances of ``rsb``.
-    """
-    base = stream_key(seed)
-    cascade = build_cascade(cascade_rsb, b, base)
-    fields = attach_fields(b, mixture, rsb, N, base)
-    table = sample_hamiltonian(N, mixture, derive_rng(*base, MODULE_SK))
-    return cascade, fields, table
-
-
 def _gibbs_weights(expo, message, axis=None):
     """exp(expo - log Z) and log Z, normalized over ``axis`` (all by default).
 
@@ -284,16 +271,12 @@ def build_system(
     is zero, and no other draw reads their streams.
     """
     _check_joint_budget(N, rsb, b, t)
-    cascade, fields, table = _sample_disorder(N, mixture, rsb, rsb, b, seed)
-    return GibbsSystem(
-        N=N,
-        t=t,
-        h=h,
-        mixture=mixture,
-        table=table,
-        cascade=cascade,
-        tilt=None if t == 1.0 else spin_matrix(N) @ fields.all_fields().T,
-    )
+    base = stream_key(seed)
+    cascade = build_cascade(rsb, b, base)
+    fields = attach_fields(b, mixture, rsb, N, base)
+    table = sample_hamiltonian(N, mixture, derive_rng(*base, MODULE_SK))
+    tilt = None if t == 1.0 else spin_matrix(N) @ fields.all_fields().T
+    return GibbsSystem(N, t, h, mixture, table, cascade, tilt)
 
 
 def _joint_rows(op, read, N, t, mixture, rsb, b, h, replicas, seed) -> np.ndarray:
@@ -408,15 +391,7 @@ def derivative_check(
             "paired_diff_se": float(diffs.std(ddof=1) / np.sqrt(len(diffs))),
         },
     )
-    return DerivativeReport(
-        t=t,
-        pathwise=pathwise,
-        formula=formula,
-        theta_term=theta_term,
-        delta_term=delta_term,
-        constant_term=constant,
-        record=record,
-    )
+    return DerivativeReport(t, pathwise, formula, theta_term, delta_term, constant, record)
 
 
 def gibbs_overlap_mass(
@@ -467,6 +442,8 @@ class CoupledGibbsSystem:
     independent, so the measure is held as its factors
     Gamma_r(sigma^1, sigma^2, alpha) = pi(alpha) p1(sigma^1 | alpha)
     p2(sigma^2 | alpha) and the (2^N, 2^N, b^k) product is never formed.
+    ``table`` and ``p1`` do not depend on r: the systems of one disorder
+    draw share them, read-only.
     """
 
     N: int
@@ -505,46 +482,53 @@ class CoupledGibbsSystem:
 def build_coupled_system(
     N: int,
     t: float,
-    r: int,
+    r_values,
     mixture: MixtureFunction,
     rsb: RSBParams,
     b: int,
     h: float,
     seed,
-) -> CoupledGibbsSystem:
-    """Enumerate Gamma_r over spin pairs and leaves for one disorder draw."""
-    _check_coupled_budget(N, rsb, b, t)
-    cascade, fields, table = _sample_disorder(
-        N, mixture, rsb, rsb.halved_below(r), b, seed
-    )
+) -> list:
+    """Enumerate Gamma_r over spin pairs and leaves, one system per r in ``r_values``.
 
-    spins = spin_matrix(N)
+    One disorder draw serves every r: the Hamiltonian table, copy 1's
+    columns and p1(sigma^1 | alpha) are built once and shared read-only.
+    The cascade (exponents halved below r), copy 2's columns (split at
+    r), p2 and the leaf marginal pi are built per r.
+    """
+    _check_coupled_budget(N, rsb, b, t)
+    base = stream_key(seed)
+    fields = attach_fields(b, mixture, rsb, N, base)
+    table = sample_hamiltonian(N, mixture, derive_rng(*base, MODULE_SK))
     single = np.sqrt(t) * table.values + h * spin_sums(N)
-    (p1, leaf_log1), (p2, leaf_log2) = (
-        _gibbs_weights(
-            single[:, None] + np.sqrt(1.0 - t) * (spins @ columns.T),
+
+    def conditional(columns):
+        return _gibbs_weights(
+            single[:, None] + np.sqrt(1.0 - t) * (spin_matrix(N) @ columns.T),
             "coupled conditionals failed to normalize",
             axis=0,
         )
-        for columns in (fields.all_fields(), fields.independent_from(r).all_fields())
-    )
-    pi, log_norm = _gibbs_weights(
-        np.log(cascade.leaf_weights_flat()) + leaf_log1 + leaf_log2,
-        "coupled weights failed to normalize",
-    )
-    return CoupledGibbsSystem(
-        N=N,
-        t=t,
-        r=r,
-        h=h,
-        mixture=mixture,
-        table=table,
-        cascade=cascade,
-        p1=p1,
-        p2=p2,
-        pi=pi,
-        log_norm=log_norm,
-    )
+
+    p1, leaf_log1 = conditional(fields.all_fields())
+    for shared in (table.coefficients, table.values, p1):
+        shared.flags.writeable = False
+    systems = []
+    for r in r_values:
+        cascade = build_cascade(rsb.halved_below(r), b, base)
+        p2, leaf_log2 = conditional(fields.independent_from(r).all_fields())
+        pi, log_norm = _gibbs_weights(
+            np.log(cascade.leaf_weights_flat()) + leaf_log1 + leaf_log2,
+            "coupled weights failed to normalize",
+        )
+        systems.append(
+            CoupledGibbsSystem(N, t, r, h, mixture, table, cascade, p1, p2, pi, log_norm)
+        )
+    return systems
+
+
+def _delta_averages(systems) -> list:
+    """(value, allowance) of ``delta_average`` for each system, in order."""
+    return [system.delta_average() for system in systems]
 
 
 @dataclass
@@ -573,22 +557,28 @@ def error_term_check(
 ) -> list:
     """Wedge-restricted Delta under Gamma x Gamma vs the coupled system, one report per r.
 
-    The plain systems serve every r; the coupled system depends on r and runs per r.
+    Each replica's plain system and its coupled disorder draw are each
+    built once and serve every r; only the coupled cascade and copy 2's
+    columns are built per r (``build_coupled_system``).  A level outside
+    1..k or named twice is refused before any replica runs.
     """
     _check_coupled_budget(N, rsb, b, t)
     for r in r_values:
         if not 1 <= r <= rsb.k:
             raise ValueError(f"r = {r} outside 1..{rsb.k}")
+    if len(set(r_values)) < len(r_values):
+        raise ValueError(f"r = {list(r_values)} names a level twice")
     read = _restricted_deltas
     plain = _joint_rows(_OP_ERROR_PLAIN, read, N, t, mixture, rsb, b, h, replicas, seed)
+    build = partial(build_coupled_system, N, t, tuple(r_values), mixture, rsb, b, h)
+    args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, _delta_averages)
+    # (replica, level, (value, allowance)) rows of the coupled means
+    coupled_rows = run_replicas(replica_rows, args, seed, replicas)
     reports = []
-    for r in r_values:
+    for j, r in enumerate(r_values):
         gap = rsb.m[r] - rsb.m[r - 1]
         lhs = Estimate.from_pairs(plain[:, r - 1])
-        build = partial(build_coupled_system, N, t, r, mixture, rsb, b, h)
-        args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, CoupledGibbsSystem.delta_average)
-        # (value, allowance) rows of the coupled mean, times the exponent gap
-        coupled = gap * run_replicas(replica_rows, args, seed, replicas)
+        coupled = gap * coupled_rows[:, j]
         rhs = Estimate.from_pairs(coupled)
         coupled_average = Estimate.from_values(
             coupled[:, 0] / gap, allowance=float(coupled[:, 1].mean()) / gap

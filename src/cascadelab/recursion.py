@@ -35,7 +35,7 @@ from .mixture import (
     check_field_compatible,
     theta,
 )
-from .sk_model import monomial_signs, monomial_variances, spin_matrix
+from .sk_model import monomial_table, spin_matrix
 
 TENSOR_BUDGET = 10**7
 # The optimizer searches on the largest node count whose full grid,
@@ -636,14 +636,14 @@ def mu_r_quadrature(
         for copy in (0,) if col < r else (0, 1):
             for site in range(N):
                 z_axes[key(col, site, copy)] = len(z_axes)
-    variances = monomial_variances(N, mix)
-    masks = sorted(mask for mask in variances if mask != 0)
-    ndim = len(z_axes) + len(masks)
+    masks, _, signs, scales = monomial_table(N, mix)
+    start = int(0 in masks[:1])  # mask 0 sorts first
+    signs, scales = signs[:, start:], scales[start:]
+    ndim = len(z_axes) + len(scales)
     if ndim == 0:
         raise ValueError("degenerate configuration: no active randomness")
     z, w = _grid_nodes(quad.nodes_per_level, ndim)
     sigmas = spin_matrix(N)
-    signs = monomial_signs(N, masks)
 
     def exponent(s_idx, copy):
         # Terms with zero coefficient are skipped so the array keeps
@@ -659,10 +659,10 @@ def mu_r_quadrature(
                     field = field + _column(scale, z, ndim, z_axes[key(col, site, copy)])
                 e = e + math.sqrt(1.0 - t) * float(sigma[site]) * field
         if t > 0.0:
-            for j, mask in enumerate(masks):
+            for j, scale in enumerate(scales):
                 e = e + (
                     math.sqrt(t)
-                    * math.sqrt(variances[mask])
+                    * float(scale)
                     * float(signs[s_idx, j])
                     * _column(1.0, z, ndim, len(z_axes) + j)
                 )

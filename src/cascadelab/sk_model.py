@@ -16,7 +16,6 @@ log-sum is enumerated, and randomness enters only through the disorder.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -105,6 +104,22 @@ def _monomial_signs(N: int, masks: tuple) -> np.ndarray:
     return signs
 
 
+@lru_cache(maxsize=8)
+def monomial_table(N: int, mix: MixtureFunction) -> tuple:
+    """(masks, variances, signs, scales) of the Hamiltonian's monomial basis.
+
+    The site-set masks in increasing order, their coefficients' variances
+    and standard deviations, and their ``monomial_signs`` table, aligned
+    by column; built once per (N, mix) and shared read-only.
+    """
+    by_mask = monomial_variances(N, mix)
+    masks = tuple(sorted(by_mask))
+    variances = np.array([by_mask[m] for m in masks])
+    scales = np.sqrt(variances)
+    variances.flags.writeable = scales.flags.writeable = False
+    return masks, variances, monomial_signs(N, masks), scales
+
+
 @lru_cache(maxsize=None)
 def spin_sums(N: int) -> np.ndarray:
     """sum_i sigma_i for every configuration, in the same row order.
@@ -134,13 +149,9 @@ class HamiltonianTable:
 
 def sample_hamiltonian(N: int, mixture: MixtureFunction, seed) -> HamiltonianTable:
     """Draw one disorder realization as a table over all 2^N configurations."""
-    _check_size(N, mixture)
+    masks, variances, signs, scales = monomial_table(N, mixture)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, MODULE_SK)
-    by_mask = monomial_variances(N, mixture)
-    masks = tuple(sorted(by_mask))
-    variances = np.array([by_mask[m] for m in masks])
-    signs = monomial_signs(N, masks)
-    coefficients = rng.standard_normal(len(masks)) * np.sqrt(variances)
+    coefficients = rng.standard_normal(len(masks)) * scales
     return HamiltonianTable(
         N=N, masks=masks, variances=variances, signs=signs,
         coefficients=coefficients, values=signs @ coefficients,
@@ -148,14 +159,9 @@ def sample_hamiltonian(N: int, mixture: MixtureFunction, seed) -> HamiltonianTab
 
 
 def covariance_exact(N: int, mix: MixtureFunction, sigma1, sigma2) -> float:
-    """E H(sigma1) H(sigma2) computed from the monomial variances."""
-    sigma1 = np.asarray(sigma1)
-    sigma2 = np.asarray(sigma2)
-    total = 0.0
-    for mask, var in monomial_variances(N, mix).items():
-        sites = [i for i in range(N) if (mask >> i) & 1]
-        total += var * float(np.prod(sigma1[sites]) * np.prod(sigma2[sites]))
-    return total
+    """E H(sigma1) H(sigma2) = sum_S var_S sigma1_S sigma2_S, from ``monomial_table``."""
+    _, variances, signs, _ = monomial_table(N, mix)
+    return float(variances @ (signs[_config_index(sigma1)] * signs[_config_index(sigma2)]))
 
 
 def _table(N: int, mixture: MixtureFunction, seed: tuple) -> HamiltonianTable:

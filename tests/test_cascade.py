@@ -447,7 +447,7 @@ def test_coupled_system_matches_inline_loop(coupled_joint):
     mix, N, b, t, h = sk_mixture(0.6), 2, 6, 0.4, 0.3
     for r in (1, 2):
         base = (83, MODULE_INTERP, r)
-        system = build_coupled_system(N, t, r, mix, RSB2, b, h, base)
+        [system] = build_coupled_system(N, t, [r], mix, RSB2, b, h, base)
         first, second = _oracle_coupled_fields(RSB2, mix, N, b, r, base)
         table = sample_hamiltonian(N, mix, _oracle_stream(base, MODULE_SK))
         log_norm, gamma, value, allowance = _dense_coupled(system, first, second, table)
@@ -481,7 +481,7 @@ def test_factored_coupled_system_matches_joint_array(mix, rsb):
             for r in range(1, rsb.k + 1):
                 for t in (0.0, 0.5, 1.0):
                     base = (87, MODULE_INTERP, N, b, r)
-                    system = build_coupled_system(N, t, r, mix, rsb, b, h, base)
+                    [system] = build_coupled_system(N, t, [r], mix, rsb, b, h, base)
                     first, second = _oracle_coupled_fields(rsb, mix, N, b, r, base)
                     table = sample_hamiltonian(N, mix, _oracle_stream(base, MODULE_SK))
                     log_norm, _, value, allowance = _dense_coupled(

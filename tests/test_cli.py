@@ -311,6 +311,22 @@ def test_interpolate_rejects_empty_r(check, capsys):
     assert captured.out == "" and "nonempty list" in captured.err
 
 
+@pytest.mark.parametrize(
+    "check, levels", [("overlap", "[2, 2, 1]"), ("error-term", "[1, 1]")]
+)
+def test_interpolate_rejects_repeated_r(check, levels, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a system was built")
+
+    monkeypatch.setattr(cli, "gibbs_overlap_mass", no_build)
+    monkeypatch.setattr(cli, "error_term_check", no_build)
+    rc = run(["interpolate", "--check", check, "--m", "[0.4, 0.8]", "--q", "[0.3, 0.6]",
+              "--r", levels, "--N", "2", "--b", "10", "--replicas", "10"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"r = {levels} names a level twice" in captured.err
+
+
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
 def test_bad_tolerance_exits_two(tolerance, capsys):
     rc = run(["cascade", "--m", "[0.5]", "--q", "[0.5]", "--b", "10", "--replicas", "20",

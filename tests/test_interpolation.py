@@ -15,8 +15,8 @@ from cascadelab.interpolation import (
     _OP_DERIVATIVE,
     _OP_ERROR_COUPLED,
     MODULE_INTERP,
-    CoupledGibbsSystem,
     GibbsSystem,
+    _delta_averages,
     _pair_terms,
     _read_derivative,
     _restricted_deltas,
@@ -370,13 +370,13 @@ def test_coupled_exponent_sequence():
 
 def test_coupled_system_guards():
     with pytest.raises(ValueError, match="N outside"):
-        build_coupled_system(5, 0.5, 1, sk_mixture(0.5), RSB1, 30, 0.0, seed=1)
+        build_coupled_system(5, 0.5, [1], sk_mixture(0.5), RSB1, 30, 0.0, seed=1)
     with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
-        build_coupled_system(2, 1.2, 1, sk_mixture(0.5), RSB1, 30, 0.0, seed=1)
+        build_coupled_system(2, 1.2, [1], sk_mixture(0.5), RSB1, 30, 0.0, seed=1)
 
 
 def test_coupled_system_normalized(coupled_joint):
-    system = build_coupled_system(2, 0.5, 1, sk_mixture(0.6), RSB1, 40, 0.3, seed=17)
+    [system] = build_coupled_system(2, 0.5, [1], sk_mixture(0.6), RSB1, 40, 0.3, seed=17)
     assert coupled_joint(system).shape == (4, 4, 40)
 
 
@@ -388,14 +388,39 @@ def test_coupled_system_stays_below_one_joint_array():
     tracemalloc.start()
     try:
         for r in (1, 2):
-            build_coupled_system(
-                4, 0.5, r, sk_mixture(0.6), RSB2, 40, 0.3, seed=5
-            ).delta_average()
+            [system] = build_coupled_system(4, 0.5, [r], sk_mixture(0.6), RSB2, 40, 0.3, seed=5)
+            system.delta_average()
             _, peak = tracemalloc.get_traced_memory()
             assert peak < joint_bytes, (r, peak)
             tracemalloc.reset_peak()
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_coupled_build_for_every_level_equals_the_single_builds(N, t):
+    # One disorder draw serves both levels, in either order, and each
+    # level's system is the one built alone, array for array.
+    mix, seed = sk_mixture(0.6), (41, MODULE_INTERP, _OP_ERROR_COUPLED, 3)
+    alone = {r: build_coupled_system(N, t, [r], mix, RSB2, 6, 0.3, seed)[0] for r in (1, 2)}
+    for order in ([1, 2], [2, 1]):
+        systems = build_coupled_system(N, t, order, mix, RSB2, 6, 0.3, seed)
+        assert [system.r for system in systems] == order
+        for system in systems:
+            single = alone[system.r]
+            for name in ("pi", "p1", "p2"):
+                assert np.array_equal(getattr(system, name), getattr(single, name)), name
+            assert system.log_norm == single.log_norm
+            assert np.array_equal(system.cascade.w, single.cascade.w)
+            assert system.delta_average() == single.delta_average()
+        # the levels share one Hamiltonian table and one p1, read-only
+        first, second = systems
+        assert first.table is second.table and first.p1 is second.p1
+        with pytest.raises(ValueError):
+            first.p1[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            first.table.values[0] = 0.0
 
 
 def test_error_term_factorization_small():
@@ -411,8 +436,8 @@ def _oracle_coupled_rows(N, t, r, mix, rsb, b, h, replicas, seed):
     gap = rsb.m[r] - rsb.m[r - 1]
     out = np.empty((replicas, 2))
     for rep in range(replicas):
-        system = build_coupled_system(
-            N, t, r, mix, rsb, b, h, (seed, MODULE_INTERP, _OP_ERROR_COUPLED, rep)
+        [system] = build_coupled_system(
+            N, t, [r], mix, rsb, b, h, (seed, MODULE_INTERP, _OP_ERROR_COUPLED, rep)
         )
         value, allowance = system.delta_average()
         out[rep] = (gap * value, gap * allowance)
@@ -422,9 +447,9 @@ def _oracle_coupled_rows(N, t, r, mix, rsb, b, h, replicas, seed):
 def test_coupled_rows_match_dedicated_loop():
     mix, r, gap = sk_mixture(0.5), 1, RSB2.m[1] - RSB2.m[0]
     oracle = _oracle_coupled_rows(2, 0.5, r, mix, RSB2, 6, 0.3, 12, 23)
-    build = partial(build_coupled_system, 2, 0.5, r, mix, RSB2, 6, 0.3)
-    args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, CoupledGibbsSystem.delta_average)
-    assert np.array_equal(gap * replica_rows(args, 23, 0, 12), oracle)
+    build = partial(build_coupled_system, 2, 0.5, [r], mix, RSB2, 6, 0.3)
+    args = ((MODULE_INTERP, _OP_ERROR_COUPLED), build, _delta_averages)
+    assert np.array_equal(gap * replica_rows(args, 23, 0, 12)[:, 0], oracle)
     [report] = error_term_check(2, 0.5, [r], mix, RSB2, 6, 0.3, 12, seed=23)
     assert report.rhs == Estimate.from_values(
         oracle[:, 0], allowance=float(oracle[:, 1].mean())
@@ -473,24 +498,35 @@ def test_error_term_rejects_bad_level(monkeypatch):
     monkeypatch.setattr(interpolation, "build_coupled_system", no_build)
     with pytest.raises(ValueError, match="r = 3 outside 1..2"):
         error_term_check(2, 0.5, [1, 3], sk_mixture(0.5), RSB2, 6, 0.3, 4, seed=1)
+    # and so is a level named twice
+    with pytest.raises(ValueError, match=r"r = \[1, 1\] names a level twice"):
+        error_term_check(2, 0.5, [1, 1], sk_mixture(0.5), RSB2, 6, 0.3, 4, seed=1)
 
 
 def test_error_term_builds_each_plain_system_once_for_every_level(monkeypatch):
-    # One plain build per replica serves r = 1 and 2, and each level's
-    # report equals the one read alone.
+    # One plain build and one coupled build per replica serve r = 1 and 2,
+    # one Hamiltonian draw each, and each level's report equals the one
+    # read alone.
     mix, replicas = sk_mixture(0.5), 6
     alone = [
         error_term_check(2, 0.5, [r], mix, RSB2, 6, 0.3, replicas, seed=37)[0] for r in (1, 2)
     ]
-    builds = []
+    calls = {"build_system": [], "build_coupled_system": [], "sample_hamiltonian": []}
 
-    def counted(*args):
-        builds.append(args)
-        return build_system(*args)
+    def counting(name):
+        original = getattr(interpolation, name)
 
-    monkeypatch.setattr(interpolation, "build_system", counted)
+        def counted(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(interpolation, name, counted)
+
+    for name in calls:
+        counting(name)
     both = error_term_check(2, 0.5, [1, 2], mix, RSB2, 6, 0.3, replicas, seed=37)
-    assert len(builds) == replicas
+    assert len(calls["build_system"]) == len(calls["build_coupled_system"]) == replicas
+    assert len(calls["sample_hamiltonian"]) == 2 * replicas
     assert [report.r for report in both] == [1, 2]
     for joint, single in zip(both, alone):
         assert joint.lhs == single.lhs and joint.rhs == single.rhs

@@ -222,7 +222,7 @@ def test_mu_site_product_matches_coupled_mc(coupled_joint):
     vals = np.empty(reps)
     losses = np.empty(reps)
     for rep in range(reps):
-        system = build_coupled_system(1, 0.0, 1, mix, rsb, b, h, (71, rep))
+        [system] = build_coupled_system(1, 0.0, [1], mix, rsb, b, h, (71, rep))
         gamma = coupled_joint(system).sum(axis=2)
         vals[rep] = float(np.einsum("ab,a,b->", gamma, spins, spins))
         losses[rep] = float(system.cascade.cumulative_losses()[-1])

@@ -20,6 +20,7 @@ from cascadelab.sk_model import (
     logsumexp,
     _monomial_signs,
     monomial_signs,
+    monomial_table,
     monomial_variances,
     sample_hamiltonian,
     spin_matrix,
@@ -208,6 +209,23 @@ def test_monomial_signs_built_once_and_read_only():
     fresh = _monomial_signs.__wrapped__(N, first.masks)
     assert fresh.flags.writeable is False and np.array_equal(fresh, first.signs)
     assert _monomial_signs.cache_info().maxsize is not None
+
+
+def test_monomial_table_built_once_and_read_only():
+    N, mix = 4, make_mixture([(1, 0.3), (2, 0.9), (4, 0.4)])
+    masks, variances, signs, scales = monomial_table(N, mix)
+    by_mask = monomial_variances(N, mix)
+    assert masks == tuple(sorted(by_mask))
+    assert np.array_equal(variances, [by_mask[m] for m in masks])
+    assert np.array_equal(scales, np.sqrt(variances))
+    assert signs is monomial_signs(N, masks)
+    assert monomial_table(N, mix)[1] is variances
+    table = sample_hamiltonian(N, mix, seed=3)
+    assert table.variances is variances and table.signs is signs
+    for array in (variances, scales):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert monomial_table.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("N", [1, 4, 9])

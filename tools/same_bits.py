@@ -86,6 +86,12 @@ COMMANDS = [
     # one depth read through the all-depth error-term read
     ("interpolate error-term r = 2", "1",
      ["interpolate", "--check", "error-term", *_INTERP, "--r", "[2]"]),
+    # both depths from one coupled draw, out of order
+    ("interpolate error-term r = [2, 1]", "1",
+     ["interpolate", "--check", "error-term", *_INTERP, "--r", "[2, 1]"]),
+    # the smallest coupled system, the route of the battery's mu_quadrature_r1
+    ("interpolate error-term N = 1", "1",
+     ["interpolate", "--check", "error-term", *_INTERP, "--N", "1"]),
 ] + [
     # Usage errors: stdout is empty, so these compare by exit status, and
     # a change to which inputs are refused shows up.
